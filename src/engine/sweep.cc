@@ -553,6 +553,14 @@ Engine::runSweep(const SweepConfig &config, const DecoderFactory &factory)
 {
     require(!config.physicalRates.empty(),
             "runSweep: no physical rates given");
+    // Lifetime rounds decode the previous round's residual, so they
+    // always run one lane at a time; say so rather than ignore --batch.
+    static std::atomic<bool> warnedLifetimeBatch{false};
+    if (config.lifetimeMode && options_.batchLanes > 1 &&
+        !warnedLifetimeBatch.exchange(true))
+        warn("batch lanes = " + std::to_string(options_.batchLanes) +
+             " ignored in lifetime mode (rounds depend on the previous "
+             "round's correction); running one lane");
 
     // Lattices are shared read-only across every shard of a distance.
     std::vector<std::unique_ptr<SurfaceLattice>> lattices;

@@ -88,10 +88,7 @@ LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      TrialWorkspace *workspace)
     : lattice_(lattice), model_(model), zDecoder_(zDecoder),
       xDecoder_(xDecoder), rng_(seed), throughCircuits_(throughCircuits),
-      noisyReadout_(model.measurementFlipRate() > 0.0),
-      state_(lattice),
-      synZ_(lattice, ErrorType::Z), synX_(lattice, ErrorType::X),
-      ws_(workspace)
+      noisyReadout_(model.measurementFlipRate() > 0.0), ws_(workspace)
 {
     if (throughCircuits_)
         circuit_ = std::make_unique<StabilizerCircuit>(lattice);
@@ -133,12 +130,6 @@ LifetimeSimulator::recordMeshStats(const MeshDecodeStats *stats,
         acc.cycleHistogram.add(static_cast<std::size_t>(stats->cycles));
 }
 
-Syndrome &
-LifetimeSimulator::scratchSyndrome(ErrorType type)
-{
-    return type == ErrorType::Z ? synZ_ : synX_;
-}
-
 void
 LifetimeSimulator::extractInto(const ErrorState &state, ErrorType type,
                                Syndrome &out)
@@ -149,328 +140,168 @@ LifetimeSimulator::extractInto(const ErrorState &state, ErrorType type,
         extractSyndromeInto(state, type, out);
 }
 
+void
+LifetimeSimulator::reserveLanes(std::size_t lanes)
+{
+    while (states_.size() < lanes)
+        states_.emplace_back(lattice_);
+    while (synZ_.size() < lanes)
+        synZ_.emplace_back(lattice_, ErrorType::Z);
+    if (xDecoder_)
+        while (synX_.size() < lanes)
+            synX_.emplace_back(lattice_, ErrorType::X);
+    synPtrs_.resize(lanes);
+    if (windowRounds_ == 0)
+        return;
+    const int total = windowRounds_ + 1;
+    if (!winZ_.empty() && winZ_[0].rounds() != total) {
+        winZ_.clear();
+        winX_.clear();
+    }
+    while (winZ_.size() < lanes)
+        winZ_.emplace_back(lattice_, ErrorType::Z, total);
+    if (xDecoder_)
+        while (winX_.size() < lanes)
+            winX_.emplace_back(lattice_, ErrorType::X, total);
+    winPtrs_.resize(lanes);
+}
+
 /**
- * Run one window's measurement rounds on @p state: windowRounds_ noisy
- * rounds (sample data errors; extract; corrupt with the model's
+ * Run lane @p l's measurement window: windowRounds_ noisy rounds
+ * (sample data errors; extract; corrupt with the model's
  * measurement-flip rate) plus one perfect commit round. RNG draw order
- * per round is data sample, Z flips, X flips — the scalar and batched
- * paths share this routine, so their streams are identical.
+ * per round is data sample, Z flips, X flips.
  */
 void
-LifetimeSimulator::fillWindows(ErrorState &state, SyndromeWindow &winZ,
-                               SyndromeWindow *winX)
+LifetimeSimulator::fillWindow(std::size_t l)
 {
+    ErrorState &state = states_[l];
     state.clear();
-    winZ.reset();
-    if (winX)
-        winX->reset();
+    winZ_[l].reset();
+    if (xDecoder_)
+        winX_[l].reset();
     for (int t = 0; t < windowRounds_; ++t) {
         model_.sample(rng_, state);
-        extractInto(state, ErrorType::Z, synZ_);
-        model_.flipMeasurements(rng_, synZ_);
-        winZ.recordRound(t, synZ_);
-        if (winX) {
-            extractInto(state, ErrorType::X, synX_);
-            model_.flipMeasurements(rng_, synX_);
-            winX->recordRound(t, synX_);
+        extractInto(state, ErrorType::Z, synZ_[l]);
+        model_.flipMeasurements(rng_, synZ_[l]);
+        winZ_[l].recordRound(t, synZ_[l]);
+        if (xDecoder_) {
+            extractInto(state, ErrorType::X, synX_[l]);
+            model_.flipMeasurements(rng_, synX_[l]);
+            winX_[l].recordRound(t, synX_[l]);
         }
     }
-    extractInto(state, ErrorType::Z, synZ_);
-    winZ.recordRound(windowRounds_, synZ_);
-    if (winX) {
-        extractInto(state, ErrorType::X, synX_);
-        winX->recordRound(windowRounds_, synX_);
-    }
-}
-
-/** Classify the post-commit residual of one windowed trial. */
-bool
-LifetimeSimulator::classifyWindowTrial(ErrorState &state,
-                                       MonteCarloResult &acc)
-{
-    const FailureReport z_report =
-        classifyResidual(state, ErrorType::Z);
-    if (z_report.syndromeNonzero)
-        ++acc.syndromeResidualFailures;
-    bool failed = z_report.failed();
+    extractInto(state, ErrorType::Z, synZ_[l]);
+    winZ_[l].recordRound(windowRounds_, synZ_[l]);
     if (xDecoder_) {
-        const FailureReport x_report =
-            classifyResidual(state, ErrorType::X);
-        if (x_report.syndromeNonzero)
-            ++acc.syndromeResidualFailures;
-        failed |= x_report.failed();
-    } else {
-        require(state.weight(ErrorType::X) == 0,
-                "LifetimeSimulator: X errors present but no X decoder");
+        extractInto(state, ErrorType::X, synX_[l]);
+        winX_[l].recordRound(windowRounds_, synX_[l]);
     }
-    ++acc.trials;
-    if (failed)
-        ++acc.failures;
-    return failed;
 }
 
-bool
-LifetimeSimulator::runWindowTrial(MonteCarloResult &acc)
-{
-    const int total = windowRounds_ + 1;
-    if (!winZ_ || winZ_->rounds() != total)
-        winZ_ = std::make_unique<SyndromeWindow>(lattice_, ErrorType::Z,
-                                                 total);
-    if (xDecoder_ && (!winX_ || winX_->rounds() != total))
-        winX_ = std::make_unique<SyndromeWindow>(lattice_, ErrorType::X,
-                                                 total);
-
-    {
-        obs::TraceSpan span(obs::Stage::Sample);
-        fillWindows(state_, *winZ_, xDecoder_ ? winX_.get() : nullptr);
-    }
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        zDecoder_.decodeWindow(*winZ_, *ws_);
-    }
-    ws_->correction.applyTo(state_, ErrorType::Z);
-    if (xDecoder_) {
-        {
-            obs::TraceSpan span(obs::Stage::Decode);
-            xDecoder_->decodeWindow(*winX_, *ws_);
-        }
-        ws_->correction.applyTo(state_, ErrorType::X);
-    }
-    obs::TraceSpan span(obs::Stage::Classify);
-    return classifyWindowTrial(state_, acc);
-}
-
-bool
-LifetimeSimulator::runWindowBatch(std::size_t count,
-                                  MonteCarloResult &acc,
-                                  const StopRule &rule)
-{
-    const int total = windowRounds_ + 1;
-    while (batchStates_.size() < count)
-        batchStates_.emplace_back(lattice_);
-    if (!batchWinZ_.empty() && batchWinZ_[0].rounds() != total) {
-        batchWinZ_.clear();
-        batchWinX_.clear();
-    }
-    while (batchWinZ_.size() < count)
-        batchWinZ_.emplace_back(lattice_, ErrorType::Z, total);
-    if (xDecoder_)
-        while (batchWinX_.size() < count)
-            batchWinX_.emplace_back(lattice_, ErrorType::X, total);
-    winPtrs_.resize(count);
-
-    // Fill every lane's window up front — lane l's draw sequence is
-    // exactly what scalar trial l would have drawn.
-    {
-        obs::TraceSpan span(obs::Stage::Sample);
-        for (std::size_t l = 0; l < count; ++l)
-            fillWindows(batchStates_[l], batchWinZ_[l],
-                        xDecoder_ ? &batchWinX_[l] : nullptr);
-    }
-
-    for (std::size_t l = 0; l < count; ++l)
-        winPtrs_[l] = &batchWinZ_[l];
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        zDecoder_.decodeWindowBatch(winPtrs_.data(), count, *ws_);
-    }
-    for (std::size_t l = 0; l < count; ++l)
-        ws_->laneCorrections[l].applyTo(batchStates_[l], ErrorType::Z);
-
-    if (xDecoder_) {
-        for (std::size_t l = 0; l < count; ++l)
-            winPtrs_[l] = &batchWinX_[l];
-        {
-            obs::TraceSpan span(obs::Stage::Decode);
-            xDecoder_->decodeWindowBatch(winPtrs_.data(), count, *ws_);
-        }
-        for (std::size_t l = 0; l < count; ++l)
-            ws_->laneCorrections[l].applyTo(batchStates_[l],
-                                            ErrorType::X);
-    }
-
-    obs::TraceSpan classifySpan(obs::Stage::Classify);
-    for (std::size_t l = 0; l < count; ++l) {
-        classifyWindowTrial(batchStates_[l], acc);
-        // Stop-rule hit mid-group: drop the remaining lanes, exactly
-        // as the scalar loop would never have run those trials.
-        if (acc.trials >= rule.minTrials &&
-            acc.failures >= rule.targetFailures)
-            return true;
-    }
-    return false;
-}
-
+/**
+ * Decode one family for lanes [0, count) and apply the corrections.
+ * A group of one takes the scalar entry points (the lane-packed
+ * engines only pay off across several lanes).
+ */
 void
-LifetimeSimulator::decodeLifetime(ErrorType type, Decoder &decoder,
-                                  MonteCarloResult &acc)
+LifetimeSimulator::decodeFamily(ErrorType type, Decoder &decoder,
+                                std::size_t count)
 {
-    Syndrome &syn = scratchSyndrome(type);
-    {
+    std::vector<Syndrome> &syn = type == ErrorType::Z ? synZ_ : synX_;
+    std::vector<SyndromeWindow> &win =
+        type == ErrorType::Z ? winZ_ : winX_;
+    const bool windowed = windowRounds_ > 0;
+    if (!windowed) {
         obs::TraceSpan span(obs::Stage::Extract);
-        extractInto(state_, type, syn);
+        for (std::size_t l = 0; l < count; ++l)
+            extractInto(states_[l], type, syn[l]);
     }
     {
         obs::TraceSpan span(obs::Stage::Decode);
-        decoder.decode(syn, *ws_);
+        if (count == 1 && windowed) {
+            decoder.decodeWindow(win[0], *ws_);
+        } else if (count == 1) {
+            decoder.decode(syn[0], *ws_);
+        } else if (windowed) {
+            for (std::size_t l = 0; l < count; ++l)
+                winPtrs_[l] = &win[l];
+            decoder.decodeWindowBatch(winPtrs_.data(), count, *ws_);
+        } else {
+            for (std::size_t l = 0; l < count; ++l)
+                synPtrs_[l] = &syn[l];
+            decoder.decodeBatch(synPtrs_.data(), count, *ws_);
+        }
     }
-    ws_->correction.applyTo(state_, type);
-    recordMeshStats(decoder.meshStats(), acc);
+    for (std::size_t l = 0; l < count; ++l) {
+        const Correction &fix =
+            count == 1 ? ws_->correction : ws_->laneCorrections[l];
+        fix.applyTo(states_[l], type);
+    }
 }
 
+/**
+ * Whether lane @p l's @p type family failed: a crossing-parity flip
+ * in lifetime mode, else a nonzero residual syndrome or logical flip.
+ */
 bool
-LifetimeSimulator::decodeFamily(ErrorType type, Decoder &decoder,
-                                ErrorState &state, MonteCarloResult &acc)
+LifetimeSimulator::familyFailed(std::size_t l, ErrorType type,
+                                MonteCarloResult &acc)
 {
-    Syndrome &syn = scratchSyndrome(type);
-    {
-        obs::TraceSpan span(obs::Stage::Extract);
-        extractInto(state, type, syn);
+    if (lifetimeMode_) {
+        bool &tracked = type == ErrorType::Z ? zParity_ : xParity_;
+        const bool parity = crossingParity(states_[l], type);
+        const bool flipped = parity != tracked;
+        tracked = parity;
+        return flipped;
     }
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        decoder.decode(syn, *ws_);
-    }
-    ws_->correction.applyTo(state, type);
-    recordMeshStats(decoder.meshStats(), acc);
-
-    obs::TraceSpan span(obs::Stage::Classify);
-    const FailureReport report = classifyResidual(state, type);
+    const FailureReport report = classifyResidual(states_[l], type);
     if (report.syndromeNonzero)
         ++acc.syndromeResidualFailures;
     return report.failed();
 }
 
 bool
-LifetimeSimulator::runRound(MonteCarloResult &acc)
-{
-    // Single-round protocols never call flipMeasurements: a noisy-
-    // readout model here would silently simulate q = 0 (guarded at
-    // every public entry point, not just run()).
-    require(!noisyReadout_,
-            "LifetimeSimulator: measurement noise (q > 0) requires a "
-            "decode window (setMeasurementWindow)");
-    if (!lifetimeMode_)
-        state_.clear();
-    {
-        obs::TraceSpan span(obs::Stage::Sample);
-        model_.sample(rng_, state_);
-    }
-
-    bool failed = false;
-    if (lifetimeMode_) {
-        decodeLifetime(ErrorType::Z, zDecoder_, acc);
-        const bool z_parity = crossingParity(state_, ErrorType::Z);
-        failed |= z_parity != zParity_;
-        zParity_ = z_parity;
-        if (xDecoder_) {
-            decodeLifetime(ErrorType::X, *xDecoder_, acc);
-            const bool x_parity = crossingParity(state_, ErrorType::X);
-            failed |= x_parity != xParity_;
-            xParity_ = x_parity;
-        } else {
-            require(state_.weight(ErrorType::X) == 0,
-                    "LifetimeSimulator: X errors present but no X "
-                    "decoder");
-        }
-    } else {
-        failed = decodeFamily(ErrorType::Z, zDecoder_, state_, acc);
-        if (xDecoder_)
-            failed |=
-                decodeFamily(ErrorType::X, *xDecoder_, state_, acc);
-        else
-            require(state_.weight(ErrorType::X) == 0,
-                    "LifetimeSimulator: X errors present but no X "
-                    "decoder");
-    }
-
-    ++acc.trials;
-    if (failed)
-        ++acc.failures;
-    return failed;
-}
-
-bool
-LifetimeSimulator::runBatch(std::size_t count, MonteCarloResult &acc,
+LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
                             const StopRule &rule)
 {
-    while (batchStates_.size() < count)
-        batchStates_.emplace_back(lattice_);
-    while (batchSynZ_.size() < count)
-        batchSynZ_.emplace_back(lattice_, ErrorType::Z);
-    if (xDecoder_)
-        while (batchSynX_.size() < count)
-            batchSynX_.emplace_back(lattice_, ErrorType::X);
-    synPtrs_.resize(count);
-
-    // Sample every round of the group up front — the exact RNG draw
-    // sequence of `count` scalar rounds. Batched paths take one
-    // coarse span per phase rather than one per lane.
+    // Sample every lane up front — the exact RNG draw sequence of
+    // `count` scalar trials. One coarse span per phase, not per lane.
     {
         obs::TraceSpan span(obs::Stage::Sample);
         for (std::size_t l = 0; l < count; ++l) {
-            batchStates_[l].clear();
-            model_.sample(rng_, batchStates_[l]);
-        }
-    }
-
-    // Z family: extract all, decode the lane group, apply.
-    {
-        obs::TraceSpan span(obs::Stage::Extract);
-        for (std::size_t l = 0; l < count; ++l) {
-            extractInto(batchStates_[l], ErrorType::Z, batchSynZ_[l]);
-            synPtrs_[l] = &batchSynZ_[l];
-        }
-    }
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        zDecoder_.decodeBatch(synPtrs_.data(), count, *ws_);
-    }
-    for (std::size_t l = 0; l < count; ++l)
-        ws_->laneCorrections[l].applyTo(batchStates_[l], ErrorType::Z);
-
-    // X family (depolarizing runs); X corrections touch only the X
-    // planes, so classifying Z afterwards sees the same residual the
-    // scalar loop classifies between the two decodes.
-    if (xDecoder_) {
-        {
-            obs::TraceSpan span(obs::Stage::Extract);
-            for (std::size_t l = 0; l < count; ++l) {
-                extractInto(batchStates_[l], ErrorType::X,
-                            batchSynX_[l]);
-                synPtrs_[l] = &batchSynX_[l];
+            if (windowRounds_ > 0) {
+                fillWindow(l);
+            } else {
+                if (!lifetimeMode_)
+                    states_[l].clear();
+                model_.sample(rng_, states_[l]);
             }
         }
-        {
-            obs::TraceSpan span(obs::Stage::Decode);
-            xDecoder_->decodeBatch(synPtrs_.data(), count, *ws_);
-        }
-        for (std::size_t l = 0; l < count; ++l)
-            ws_->laneCorrections[l].applyTo(batchStates_[l],
-                                            ErrorType::X);
     }
 
-    // Classify and aggregate in round order: telemetry and counter
-    // updates interleave exactly as the scalar loop's (decoders retain
-    // per-lane stats, so Z and X stats of round l are recorded
-    // back-to-back even though the decodes ran family-batched).
-    obs::TraceSpan classifySpan(obs::Stage::Classify);
+    // X corrections touch only the X planes, so classifying Z after
+    // the X decode sees the residual a scalar trial classifies
+    // between the two decodes.
+    decodeFamily(ErrorType::Z, zDecoder_, count);
+    if (xDecoder_)
+        decodeFamily(ErrorType::X, *xDecoder_, count);
+
+    // Classify and aggregate in trial order: decoders retain per-lane
+    // stats, so lane l's Z and X telemetry is recorded back-to-back as
+    // a scalar trial's would be. Windowed decodes record none.
+    const bool telemetry = windowRounds_ == 0;
+    obs::TraceSpan span(obs::Stage::Classify);
     for (std::size_t l = 0; l < count; ++l) {
-        recordMeshStats(zDecoder_.meshStats(l), acc);
-        const FailureReport z_report =
-            classifyResidual(batchStates_[l], ErrorType::Z);
-        if (z_report.syndromeNonzero)
-            ++acc.syndromeResidualFailures;
-        bool failed = z_report.failed();
+        if (telemetry)
+            recordMeshStats(zDecoder_.meshStats(l), acc);
+        bool failed = familyFailed(l, ErrorType::Z, acc);
         if (xDecoder_) {
-            recordMeshStats(xDecoder_->meshStats(l), acc);
-            const FailureReport x_report =
-                classifyResidual(batchStates_[l], ErrorType::X);
-            if (x_report.syndromeNonzero)
-                ++acc.syndromeResidualFailures;
-            failed |= x_report.failed();
+            if (telemetry)
+                recordMeshStats(xDecoder_->meshStats(l), acc);
+            failed |= familyFailed(l, ErrorType::X, acc);
         } else {
-            require(batchStates_[l].weight(ErrorType::X) == 0,
+            require(states_[l].weight(ErrorType::X) == 0,
                     "LifetimeSimulator: X errors present but no X "
                     "decoder");
         }
@@ -478,7 +309,7 @@ LifetimeSimulator::runBatch(std::size_t count, MonteCarloResult &acc,
         if (failed)
             ++acc.failures;
         // Stop-rule hit mid-group: drop the remaining lanes, exactly
-        // as the scalar loop would never have run those rounds.
+        // as a scalar loop would never have run those trials.
         if (acc.trials >= rule.minTrials &&
             acc.failures >= rule.targetFailures)
             return true;
@@ -493,50 +324,25 @@ LifetimeSimulator::run(const StopRule &rule)
     acc.cycleHistogram =
         Histogram(static_cast<std::size_t>(128 * (lattice_.gridSize()
                                                   + 2)));
-    // Single-round protocols never call flipMeasurements: running a
-    // noisy-readout model without a window would silently simulate
-    // q = 0 while reporting a q > 0 configuration. (runRound repeats
-    // the check for callers driving trials directly.)
+    // Only windowed trials call flipMeasurements: running a noisy-
+    // readout model without a window would silently simulate q = 0
+    // while reporting a q > 0 configuration.
     require(windowRounds_ > 0 || !noisyReadout_,
             "LifetimeSimulator: measurement noise (q > 0) requires a "
             "decode window (setMeasurementWindow)");
-    if (windowRounds_ > 0) {
-        require(!lifetimeMode_,
-                "LifetimeSimulator: windowed decoding and lifetime "
-                "mode are mutually exclusive (use the streaming "
-                "pipeline for persistent windowed runs)");
-        if (batchLanes_ > 1) {
-            while (acc.trials < rule.maxTrials) {
-                const std::size_t group = std::min(
-                    batchLanes_, rule.maxTrials - acc.trials);
-                if (runWindowBatch(group, acc, rule))
-                    break;
-            }
-        } else {
-            while (acc.trials < rule.maxTrials) {
-                runWindowTrial(acc);
-                if (acc.trials >= rule.minTrials &&
-                    acc.failures >= rule.targetFailures)
-                    break;
-            }
-        }
-        acc.finalize();
-        return acc;
-    }
-    if (batchLanes_ > 1 && !lifetimeMode_) {
-        while (acc.trials < rule.maxTrials) {
-            const std::size_t group = std::min(
-                batchLanes_, rule.maxTrials - acc.trials);
-            if (runBatch(group, acc, rule))
-                break;
-        }
-    } else {
-        while (acc.trials < rule.maxTrials) {
-            runRound(acc);
-            if (acc.trials >= rule.minTrials &&
-                acc.failures >= rule.targetFailures)
-                break;
-        }
+    require(windowRounds_ == 0 || !lifetimeMode_,
+            "LifetimeSimulator: windowed decoding and lifetime "
+            "mode are mutually exclusive (use the streaming "
+            "pipeline for persistent windowed runs)");
+    // Lifetime round k + 1 decodes round k's residual, so its rounds
+    // cannot share a group.
+    const std::size_t lanes = lifetimeMode_ ? 1 : batchLanes_;
+    reserveLanes(lanes);
+    while (acc.trials < rule.maxTrials) {
+        const std::size_t group =
+            std::min(lanes, rule.maxTrials - acc.trials);
+        if (runGroup(group, acc, rule))
+            break;
     }
     acc.finalize();
     return acc;

@@ -100,8 +100,14 @@ class TrialWorkspace;
  * Dephasing noise exercises the Z-error path the paper evaluates; the
  * depolarizing channel runs both families through two decoders.
  *
- * The per-round hot path is allocation-free: syndromes are extracted
- * into member scratch, decoders borrow buffers from a TrialWorkspace
+ * Every protocol runs through one trial loop that steps a group of
+ * lanes at a time: sample every lane (the RNG draw order of that many
+ * consecutive scalar trials), decode each family as a group, then
+ * classify the lanes in trial order. A scalar run is a group of one;
+ * a windowed trial is a lane whose unit is one measurement window.
+ *
+ * The hot path is allocation-free: lane scratch is grown to the group
+ * size once per run, decoders borrow buffers from a TrialWorkspace
  * (the engine shares one per worker thread across shards; a simulator
  * without one owns a private workspace).
  */
@@ -135,19 +141,19 @@ class LifetimeSimulator
      * Lifetime mode — the paper's protocol — keeps the residual across
      * cycles (imperfectly corrected errors are re-decoded next round)
      * and counts one logical error whenever the crossing parity of the
-     * post-correction state flips.
+     * post-correction state flips. Lifetime rounds always run in
+     * groups of one.
      */
     void setLifetimeMode(bool lifetime) { lifetimeMode_ = lifetime; }
     bool lifetimeMode() const { return lifetimeMode_; }
 
     /**
-     * Group up to @p lanes rounds per Decoder::decodeBatch call in
-     * per-round mode, feeding the mesh decoder's lane-packed substrate
-     * (software decoders fall back to a scalar loop). Error sampling,
-     * syndrome extraction and classification run batched too, in the
-     * exact per-round order of the scalar loop, so every aggregate —
-     * counters, cycle statistics, histograms — is byte-identical to
-     * lanes = 1 for the same seed. Ignored in lifetime mode, where
+     * Group up to @p lanes trials per Decoder::decodeBatch (or
+     * decodeWindowBatch) call, feeding the mesh decoder's lane-packed
+     * substrate (software decoders fall back to a scalar loop). Every
+     * aggregate — counters, cycle statistics, histograms — is
+     * byte-identical to lanes = 1 for the same seed, including when
+     * the stop rule trips mid-group. Ignored in lifetime mode, where
      * round k + 1's state depends on round k's correction.
      */
     void setBatchLanes(std::size_t lanes);
@@ -161,8 +167,6 @@ class LifetimeSimulator
      * accumulated SyndromeWindow to Decoder::decodeWindow, commits
      * the returned correction at the window boundary and classifies
      * the residual. 0 (the default) keeps the single-round protocols.
-     * Windowed trials run batched through decodeWindowBatch when
-     * batch lanes are configured, with byte-identical aggregates.
      * Mutually exclusive with lifetime mode (the streaming pipeline
      * owns the persistent-state windowed regime); mesh cycle
      * telemetry is not collected in windowed mode.
@@ -170,31 +174,20 @@ class LifetimeSimulator
     void setMeasurementWindow(int rounds);
     int measurementWindow() const { return windowRounds_; }
 
-    /** Run @p rule-governed rounds and aggregate. */
+    /** Run @p rule-governed trials and aggregate. */
     MonteCarloResult run(const StopRule &rule);
 
-    /** Run exactly one round; returns whether it failed. */
-    bool runRound(MonteCarloResult &acc);
-
-    /** Run exactly one windowed trial; returns whether it failed. */
-    bool runWindowTrial(MonteCarloResult &acc);
-
   private:
-    bool decodeFamily(ErrorType type, Decoder &decoder,
-                      ErrorState &state, MonteCarloResult &acc);
-    void decodeLifetime(ErrorType type, Decoder &decoder,
-                        MonteCarloResult &acc);
+    void reserveLanes(std::size_t lanes);
+    bool runGroup(std::size_t count, MonteCarloResult &acc,
+                  const StopRule &rule);
+    void fillWindow(std::size_t l);
+    void decodeFamily(ErrorType type, Decoder &decoder,
+                      std::size_t count);
+    bool familyFailed(std::size_t l, ErrorType type,
+                      MonteCarloResult &acc);
     void recordMeshStats(const MeshDecodeStats *stats,
                          MonteCarloResult &acc) const;
-    bool runBatch(std::size_t count, MonteCarloResult &acc,
-                  const StopRule &rule);
-    bool runWindowBatch(std::size_t count, MonteCarloResult &acc,
-                        const StopRule &rule);
-    void fillWindows(ErrorState &state, SyndromeWindow &winZ,
-                     SyndromeWindow *winX);
-    bool classifyWindowTrial(ErrorState &state, MonteCarloResult &acc);
-
-    Syndrome &scratchSyndrome(ErrorType type);
     void extractInto(const ErrorState &state, ErrorType type,
                      Syndrome &out);
 
@@ -209,20 +202,19 @@ class LifetimeSimulator
     bool noisyReadout_ = false;
     /** Built only for circuit-based extraction (it is not cheap). */
     std::unique_ptr<StabilizerCircuit> circuit_;
-    ErrorState state_;
-    Syndrome synZ_; ///< extraction scratch, Z-error family
-    Syndrome synX_; ///< extraction scratch, X-error family
     std::size_t batchLanes_ = 1;
     int windowRounds_ = 0; ///< noisy rounds per window; 0 = off
-    /** Windowed-protocol scratch (built on first windowed run). @{ */
-    std::unique_ptr<SyndromeWindow> winZ_, winX_;
-    std::vector<SyndromeWindow> batchWinZ_, batchWinX_;
+    /**
+     * Lane scratch, grown to the group-size high-water mark. Lane 0's
+     * state persists across rounds in lifetime mode; the windows are
+     * built only for windowed runs. @{
+     */
+    std::vector<ErrorState> states_;
+    std::vector<Syndrome> synZ_, synX_;
+    std::vector<SyndromeWindow> winZ_, winX_;
+    std::vector<const Syndrome *> synPtrs_;
     std::vector<const SyndromeWindow *> winPtrs_;
     /** @} */
-    /** Batched-round scratch, grown to the lane-group high-water mark. */
-    std::vector<ErrorState> batchStates_;
-    std::vector<Syndrome> batchSynZ_, batchSynX_;
-    std::vector<const Syndrome *> synPtrs_;
     TrialWorkspace *ws_;                 ///< borrowed (or owned_)
     std::unique_ptr<TrialWorkspace> owned_;
     bool zParity_ = false; ///< lifetime-mode crossing parity trackers

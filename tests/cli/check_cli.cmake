@@ -131,6 +131,13 @@ check_cli(bad_batch_negative FALSE ERR
           "--batch: expected an integer"
           --scenario fig01_sqv --batch -4)
 
+# Lifetime rounds decode the previous round's residual, so a lane
+# count there cannot take effect: the run says so on stderr (once per
+# process) and otherwise proceeds as a one-lane run.
+check_cli(lifetime_batch_warns TRUE ERR
+          "batch lanes = 64 ignored in lifetime mode"
+          fig10_final --trials-scale 0.01 --format csv --batch 64)
+
 # Bad --simd widths are rejected at the flag level (the NISQPP_SIMD
 # env path warns and keeps the CPUID default instead; covered by
 # tests/common/test_simd.cc). Happy path: any named width runs.

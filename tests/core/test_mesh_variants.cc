@@ -68,10 +68,9 @@ TEST(MeshVariants, LadderImprovesAccuracy)
         DephasingModel model(p);
         LifetimeSimulator sim(lat, model, dec, nullptr, 42);
         sim.setLifetimeMode(true);
-        MonteCarloResult acc;
-        for (int t = 0; t < trials; ++t)
-            sim.runRound(acc);
-        return static_cast<int>(acc.failures);
+        const std::size_t n = trials;
+        return static_cast<int>(
+            sim.run({n, n, ~std::size_t{0}}).failures);
     };
     const int f_base = lifetime_fails(MeshConfig::baseline());
     const int f_reset = lifetime_fails(MeshConfig::withReset());

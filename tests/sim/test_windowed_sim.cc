@@ -1,10 +1,13 @@
 /** @file Faulty-measurement windowed Monte Carlo protocol: batch-lane
- * equivalence, sub-threshold distance scaling, and mode guards. */
+ * equivalence (with mid-group early stop and the mesh's majority-vote
+ * fallback), sub-threshold distance scaling, and mode guards. */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "aggregates.hh"
+#include "core/mesh_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/union_find_decoder.hh"
 #include "noise/noise_model.hh"
@@ -16,15 +19,21 @@ namespace {
 MonteCarloResult
 runWindowed(const SurfaceLattice &lat, const NoiseModel &model,
             Decoder &zDec, Decoder *xDec, int windowRounds,
-            std::size_t lanes, std::size_t trials, std::uint64_t seed)
+            std::size_t lanes, const StopRule &rule, std::uint64_t seed)
 {
     LifetimeSimulator sim(lat, model, zDec, xDec, seed);
     sim.setMeasurementWindow(windowRounds);
     sim.setBatchLanes(lanes);
-    StopRule rule;
-    rule.minTrials = rule.maxTrials = trials;
-    rule.targetFailures = ~std::size_t{0};
     return sim.run(rule);
+}
+
+MonteCarloResult
+runWindowed(const SurfaceLattice &lat, const NoiseModel &model,
+            Decoder &zDec, Decoder *xDec, int windowRounds,
+            std::size_t lanes, std::size_t trials, std::uint64_t seed)
+{
+    return runWindowed(lat, model, zDec, xDec, windowRounds, lanes,
+                       {trials, trials, ~std::size_t{0}}, seed);
 }
 
 TEST(WindowedSim, BatchLanesMatchScalarDephasing)
@@ -63,6 +72,60 @@ TEST(WindowedSim, BatchLanesMatchScalarDepolarizing)
     EXPECT_EQ(scalar.failures, batched.failures);
     EXPECT_EQ(scalar.syndromeResidualFailures,
               batched.syndromeResidualFailures);
+}
+
+TEST(WindowedSim, EarlyStopMidGroupMatchesScalar)
+{
+    // The failure target trips inside a 7-lane group: the surplus
+    // windows must be dropped so every aggregate matches the scalar
+    // loop, which never ran them.
+    SurfaceLattice lat(3);
+    const NoiseModel model = NoiseModel::dephasing(0.05, 0.05);
+    const StopRule rule{10, 4000, 25};
+    UnionFindDecoder scalarDec(lat, ErrorType::Z);
+    UnionFindDecoder batchDec(lat, ErrorType::Z);
+
+    const MonteCarloResult scalar =
+        runWindowed(lat, model, scalarDec, nullptr, 3, 1, rule, 0x51);
+    ASSERT_GE(scalar.failures, 25u);
+    ASSERT_LT(scalar.trials, 4000u);
+    ASSERT_NE(scalar.trials % 7, 0u) << "stop must land mid-group";
+
+    const MonteCarloResult batched =
+        runWindowed(lat, model, batchDec, nullptr, 3, 7, rule, 0x51);
+    expectSameAggregates(scalar, batched);
+}
+
+TEST(WindowedSim, MeshMajorityVoteBatchMatchesScalar)
+{
+    // The mesh has no spacetime decoder: its windows take the
+    // round-majority fallback, which still leaves per-decode mesh
+    // stats behind. Windowed runs record no cycle telemetry at any
+    // group size.
+    SurfaceLattice lat(5);
+    const NoiseModel model = NoiseModel::depolarizing(0.02, 0.01);
+    MeshDecoder scalarZ(lat, ErrorType::Z), scalarX(lat, ErrorType::X);
+    MeshDecoder batchZ(lat, ErrorType::Z), batchX(lat, ErrorType::X);
+
+    const MonteCarloResult scalar = runWindowed(
+        lat, model, scalarZ, &scalarX, 3, 1, 300, 0x3e5);
+    const MonteCarloResult batched = runWindowed(
+        lat, model, batchZ, &batchX, 3, 8, 300, 0x3e5);
+
+    expectSameAggregates(scalar, batched);
+    EXPECT_EQ(scalar.trials, 300u);
+    EXPECT_EQ(scalar.cycles.count(), 0u);
+    EXPECT_EQ(batched.cycles.count(), 0u);
+
+    // Both runs decoded the same windows, so the decoders' own work
+    // counters agree too.
+    obs::MetricSet scalarWork, batchWork;
+    scalarZ.exportMetrics(scalarWork);
+    scalarX.exportMetrics(scalarWork);
+    batchZ.exportMetrics(batchWork);
+    batchX.exportMetrics(batchWork);
+    EXPECT_FALSE(scalarWork.empty());
+    EXPECT_EQ(metricsJson(scalarWork), metricsJson(batchWork));
 }
 
 /**
