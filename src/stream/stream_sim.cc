@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "decoders/workspace.hh"
@@ -17,8 +19,29 @@ namespace nisqpp {
 
 namespace {
 
-/** Service times are binned at 1 ns for exact percentile telemetry. */
-constexpr std::size_t kLatencyBinMaxNs = 8191;
+/** One round in flight: emitted, transported, awaiting decode. */
+struct Delivery
+{
+    faults::RoundFaults rf; ///< empty on fault-free runs
+    const Syndrome *emitted = nullptr; ///< what the observer sees
+    /** Emitted, corrupted or carried copy; null = no per-round decode. */
+    const Syndrome *input = nullptr;
+    bool closesWindow = false; ///< decode the whole window instead
+    bool duplicated = false;
+    bool emitParity = false; ///< crossing parity at emit (batched groups)
+    double arriveNs = 0.0;
+};
+
+/** percentileFromHistogram's rule on ascending @p sorted, unbinned. */
+double
+percentileOfSorted(const std::vector<double> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0.0;
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
 
 } // namespace
 
@@ -52,23 +75,23 @@ runStream(const StreamConfig &config, Decoder &decoder,
                 "runStream: measurement noise requires windowRounds "
                 "> 0 (per-round decoding cannot see readout flips)");
 
-    // Fault injection and recovery are a strict superset of the fault-
-    // free pipeline: when neither is active the code below takes
-    // exactly the pre-fault path (no extra RNG draws, no stream.fault.*
-    // metric keys), keeping fault-free runs byte-identical to the
-    // goldens that predate this layer.
-    const bool faultsActive =
-        config.faults.any() || config.recovery.active();
+    // Fault injection and recovery only add to the round pipeline: a
+    // run with neither active transports every round with an empty
+    // RoundFaults, so it builds no FaultPlan, draws no fault
+    // randomness, leaves the ledger all-zero and reports no
+    // stream.fault.* metric keys, keeping fault-free runs
+    // byte-identical to the goldens that predate this layer.
+    const faults::RecoveryPolicy &policy = config.recovery;
     std::unique_ptr<faults::FaultPlan> plan;
     std::unique_ptr<Syndrome> corruptScratch;
     std::unique_ptr<Syndrome> lastGood;
     bool lastGoodValid = false;
     double pendingMergeNs = 0.0;
-    if (faultsActive) {
+    if (config.faults.any() || policy.active()) {
         require(w == 0,
                 "runStream: fault injection and recovery policies "
                 "require the per-round pipeline (windowRounds == 0)");
-        config.recovery.validate();
+        policy.validate();
         plan = std::make_unique<faults::FaultPlan>(
             config.faults,
             static_cast<std::uint32_t>(
@@ -84,9 +107,12 @@ runStream(const StreamConfig &config, Decoder &decoder,
     SyndromeStream stream(*config.lattice, model, ErrorType::Z,
                           config.seed, config.syndromeCycleNs);
     StreamQueue queue(config.queueCapacity);
-    Histogram serviceHist(kLatencyBinMaxNs);
+    // Rounded service time of every decode, for exact percentiles.
+    std::vector<double> serviceTimes;
+    serviceTimes.reserve(w > 0 ? config.rounds / w : config.rounds);
 
     StreamingResult result;
+    faults::FaultCounts &fc = result.faults;
     const double cycle = config.syndromeCycleNs;
     const double endOfProduction =
         static_cast<double>(config.rounds) * cycle;
@@ -114,51 +140,77 @@ runStream(const StreamConfig &config, Decoder &decoder,
     }
     const Correction emptyCorrection; ///< observer arg between commits
 
-    // Commit the decode's correction and return the resulting crossing
-    // parity. A tiered decode that was repaired commits in two steps —
-    // the provisional (mesh) frame is final XOR repair, so the repair
-    // is pre-applied, the final correction lands the state on the
-    // provisional frame, and the repair is then applied on top — and
-    // the tiered escalation/repair/frame-flip counters accrue here.
-    // With @p provisionalOnly (a decode deadline fired) the commit
-    // stops on the provisional frame: the exact tier's repair is
-    // abandoned, so the repair counters do not accrue.
-    auto commitCorrection = [&](bool provisionalOnly) {
+    // The consumer decodes a group of up to batchLanes rounds through
+    // the decoder's lane-packed decodeBatch in one call. This is
+    // possible because the decode loop is *round-synchronous*: the
+    // only coupling between consecutive decodes is the committed
+    // correction, and for a decoder whose correction annihilates its
+    // syndrome the uncorrected (raw) syndromes telescope — S_eff[j] =
+    // S_raw[j] XOR S_raw[j-1] is exactly the syndrome a group of one
+    // would have emitted after round j-1's commit. Crossing parities
+    // recorded at emit time supply the per-round failure accounting
+    // (the committed state is missing rounds j+1.. of the group's
+    // errors, whose parity contribution is emitParity[last] XOR
+    // emitParity[j]), and the commit stage then replays the group
+    // round by round, so every result field, metric and observer
+    // callback is byte-identical to groups of one. Configurations the
+    // equivalence argument does not cover decode in groups of one, and
+    // a round struck by an injected fault always forms its own group.
+    const std::size_t maxGroup =
+        config.batchLanes > 1 && w == 0 &&
+                decoder.correctionClearsSyndrome() &&
+                decoder.tieredStats() == nullptr &&
+                policy.shedThreshold == 0
+            ? config.batchLanes
+            : 1;
+    std::vector<Delivery> group(maxGroup);
+    // Batched groups copy their syndromes out of the stream's buffer.
+    std::vector<Syndrome> lanes;
+    std::vector<const Syndrome *> lanePtrs;
+    if (maxGroup > 1) {
+        lanes.assign(maxGroup, Syndrome(*config.lattice, ErrorType::Z));
+        for (const Syndrome &lane : lanes)
+            lanePtrs.push_back(&lane);
+    }
+
+    // Commit @p corr and return the resulting crossing parity, less
+    // @p futureParity: the parity of errors emitted later in a batched
+    // group, which the committed state already carries. A repaired
+    // tiered decode's provisional (mesh) frame is final XOR repair: the
+    // tiered escalation/repair/frame-flip counters accrue here, and
+    // with @p provisionalOnly (a decode deadline fired) the repair is
+    // applied on top and the commit stops on the provisional frame —
+    // the exact tier's answer is abandoned, so no repair is counted.
+    auto commitCorrection = [&](const Correction &corr,
+                                bool provisionalOnly, bool futureParity) {
         const TieredDecodeStats *ts = decoder.tieredStats();
         if (ts && ts->escalated)
             ++result.escalations;
-        if (!ts || !ts->repaired) {
-            workspace->correction.applyTo(stream.state(), ErrorType::Z);
-            return crossingParity(stream.state(), ErrorType::Z);
-        }
+        corr.applyTo(stream.state(), ErrorType::Z);
+        const bool finalParity =
+            crossingParity(stream.state(), ErrorType::Z) != futureParity;
+        if (!ts || !ts->repaired)
+            return finalParity;
         for (int d : ts->repairFlips)
             stream.state().flip(ErrorType::Z, d);
-        workspace->correction.applyTo(stream.state(), ErrorType::Z);
         const bool provisionalParity =
             crossingParity(stream.state(), ErrorType::Z);
         if (provisionalOnly)
             return provisionalParity;
         for (int d : ts->repairFlips)
             stream.state().flip(ErrorType::Z, d);
-        const bool repairedParity =
-            crossingParity(stream.state(), ErrorType::Z);
         ++result.repairs;
-        if (repairedParity != provisionalParity)
+        if (finalParity != provisionalParity)
             ++result.repairFrameFlips;
-        return repairedParity;
+        return finalParity;
     };
 
-    // Escalated decodes pay the mesh attempt plus the software tier.
-    auto withEscalation = [&](double ns) {
-        const TieredDecodeStats *ts = decoder.tieredStats();
-        return ts && ts->escalated ? ns + config.latency.escalateNs
-                                   : ns;
+    auto doneOf = [&](const StreamRound &entry) {
+        return std::max(consumerFreeNs, entry.arriveNs) + entry.serviceNs;
     };
-
     auto completeFront = [&]() {
         const StreamRound &entry = queue.front();
-        const double start = std::max(consumerFreeNs, entry.arriveNs);
-        const double done = start + entry.serviceNs;
+        const double done = doneOf(entry);
         if (done < consumerFreeNs)
             result.clockMonotone = false;
         consumerFreeNs = done;
@@ -166,7 +218,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
             // Second delivery of a round already handled: discarded by
             // sequence number, so it completes nothing and its queue
             // residence is not a sojourn.
-            ++result.faults.dedupRounds;
+            ++fc.dedupRounds;
         } else {
             result.sojournNs.add(done - entry.arriveNs);
             if (done <= endOfProduction)
@@ -178,25 +230,194 @@ runStream(const StreamConfig &config, Decoder &decoder,
     };
 
     // The consumer retires every round it finishes before @p tArrive;
-    // peeking the completion time keeps FIFO exactness.
+    // peeking the completion time keeps FIFO exactness. Idempotent for
+    // a repeated @p tArrive.
     auto retireBefore = [&](double tArrive) {
-        while (!queue.empty()) {
-            const StreamRound &entry = queue.front();
-            const double done =
-                std::max(consumerFreeNs, entry.arriveNs) +
-                entry.serviceNs;
-            if (done > tArrive)
-                break;
+        while (!queue.empty() && doneOf(queue.front()) <= tArrive)
             completeFront();
-        }
     };
 
-    // Post-decode accounting shared by the scalar and batched
-    // consumers: service statistics, the queue push and the backlog /
-    // trajectory telemetry of round @p k.
-    auto accountRound = [&](std::size_t k, double arriveNs,
-                            double serviceNs, bool decoded,
-                            bool duplicated) {
+    // Transport: when round k arrives, what the consumer decodes for
+    // it (emitted, corrupted, carried-forward, the closed window or
+    // nothing) and the fault events that decided it.
+    auto transport = [&](Delivery &dv, std::size_t k) {
+        const faults::RoundFaults &rf = dv.rf;
+        dv.arriveNs = static_cast<double>(k) * cycle;
+        dv.input = dv.emitted;
+        dv.duplicated = false;
+        dv.closesWindow = false;
+        if (window) {
+            const int t = static_cast<int>(k % w);
+            window->recordRound(t, *dv.emitted);
+            dv.input = nullptr;
+            if (t + 1 == static_cast<int>(w)) {
+                // Close the window with a perfect commit round; it is
+                // decoded as one spacetime problem.
+                stream.extractPerfectInto(*commitSyn);
+                window->recordRound(static_cast<int>(w), *commitSyn);
+                dv.closesWindow = true;
+            }
+            return;
+        }
+
+        if (rf.delayCycles > 0) {
+            ++fc.delays;
+            dv.arriveNs += static_cast<double>(rf.delayCycles) * cycle;
+        }
+        bool carried = false;   // decode the last clean frame
+        bool lost = false;      // no decode at all
+        bool corrupted = false; // decode the corrupted copy
+        if (rf.transportFault()) {
+            if (rf.dropped)
+                ++fc.drops;
+            else
+                ++fc.corruptions;
+            const int attempts = rf.retransmitsNeeded + 1;
+            if (policy.parityRetransmit &&
+                attempts <= policy.maxRetransmits) {
+                // Parity caught the fault; bounded re-requests are
+                // paid in virtual ns with linear backoff (attempt i
+                // costs i * retransmitNs), then the clean round
+                // arrives.
+                obs::TraceSpan span(obs::Stage::StreamRecover);
+                fc.retransmits += static_cast<std::uint64_t>(attempts);
+                for (int i = 1; i <= attempts; ++i)
+                    dv.arriveNs +=
+                        static_cast<double>(i) * policy.retransmitNs;
+            } else if (rf.dropped || policy.parityRetransmit) {
+                // A drop, or a corruption parity caught but could not
+                // recover within the re-request budget.
+                if (policy.carryForward && lastGoodValid)
+                    carried = true;
+                else
+                    lost = true;
+            } else {
+                // No parity protection: the corruption is silent and
+                // the consumer decodes the corrupted round.
+                corrupted = true;
+            }
+        }
+        // Only delivered rounds can arrive twice.
+        dv.duplicated = rf.duplicated && !lost && !carried;
+        if (dv.duplicated)
+            ++fc.duplicates;
+        if (lost) {
+            ++fc.lostRounds;
+            dv.input = nullptr;
+            return;
+        }
+
+        // Load shedding: above the backlog threshold the consumer
+        // refuses the decode. The lifetime syndrome is cumulative, so
+        // the next decoded round supersedes a shed one's information —
+        // DropOldest discards it outright, XorMerge folds it into the
+        // next decode for a small surcharge. Shedding keeps groups at
+        // one round, so the queue already holds every earlier round.
+        if (policy.shedThreshold > 0) {
+            retireBefore(static_cast<double>(k) * cycle);
+            if (queue.depth() >= policy.shedThreshold) {
+                if (policy.shedMode == faults::ShedMode::DropOldest) {
+                    ++fc.shedRounds;
+                } else {
+                    ++fc.mergedRounds;
+                    pendingMergeNs += policy.mergeNs;
+                }
+                dv.input = nullptr;
+                return;
+            }
+        }
+
+        if (carried) {
+            obs::TraceSpan span(obs::Stage::StreamRecover);
+            dv.input = lastGood.get();
+            ++fc.carriedForward;
+            return;
+        }
+        if (corrupted) {
+            *corruptScratch = *dv.emitted;
+            for (int i = 0; i < rf.corruptBits; ++i)
+                corruptScratch->flip(static_cast<int>(
+                    rf.corruptAncilla[static_cast<std::size_t>(i)]));
+            dv.input = corruptScratch.get();
+            ++fc.corruptDecodes;
+        }
+        if (plan)
+            ++fc.decodedRounds;
+    };
+
+    // Commit round k, lane i of an n-round group: its modeled service
+    // time, the correction, the recovery ledger, the observer, and the
+    // queue push with the service / backlog / trajectory telemetry.
+    auto commitRound = [&](std::size_t i, std::size_t n, std::size_t k) {
+        const Delivery &dv = group[i];
+        retireBefore(static_cast<double>(k) * cycle);
+        const bool decoded = dv.input || dv.closesWindow;
+        const Correction *committed = &emptyCorrection;
+        double serviceNs = 0.0;
+        if (decoded) {
+            const Correction &corr =
+                n == 1 ? workspace->correction
+                       : workspace->laneCorrections[i];
+            const TieredDecodeStats *ts = decoder.tieredStats();
+            serviceNs = config.latency.decodeNs(
+                decoder.meshStats(i), dv.closesWindow
+                                          ? window->eventWeight()
+                                          : dv.input->weight());
+            // Escalated decodes pay the mesh attempt plus the
+            // software tier.
+            if (ts && ts->escalated)
+                serviceNs += config.latency.escalateNs;
+            serviceNs += std::exchange(pendingMergeNs, 0.0);
+            if (dv.rf.stallFactor != 1.0) {
+                ++fc.stalls;
+                serviceNs *= dv.rf.stallFactor;
+            }
+            bool provisionalOnly = false;
+            if (policy.deadlineNs > 0.0 &&
+                serviceNs > policy.deadlineNs) {
+                // Deadline miss: an escalated tiered decode commits
+                // its provisional mesh answer instead of waiting out
+                // the exact tier; anything else just has its modeled
+                // service clamped to the budget.
+                provisionalOnly = ts && ts->escalated;
+                ++(provisionalOnly ? fc.deadlineCommits
+                                   : fc.deadlineClamps);
+                serviceNs = policy.deadlineNs;
+            }
+            if (dv.rf.decodeFailed) {
+                // Transient decode failure: the service time is paid
+                // but no correction lands; the residual errors stay
+                // for the next round's decode.
+                ++fc.decodeFailures;
+            } else {
+                bool nowParity;
+                {
+                    obs::TraceSpan commitSpan(obs::Stage::StreamCommit);
+                    nowParity = commitCorrection(
+                        corr, provisionalOnly,
+                        dv.emitParity != group[n - 1].emitParity);
+                }
+                if (nowParity != parity)
+                    ++result.failures;
+                parity = nowParity;
+                committed = &corr;
+            }
+            if (policy.carryForward && dv.input == dv.emitted) {
+                *lastGood = *dv.emitted;
+                lastGoodValid = true;
+            }
+            if (dv.closesWindow) {
+                // Re-arm: the next window's round-0 events are
+                // measured against the post-commit perfect frame.
+                ++result.windows;
+                stream.extractPerfectInto(*commitSyn);
+                window->reset();
+                window->setBaseline(*commitSyn);
+            }
+        }
+        if (observer && *observer)
+            (*observer)(k, *dv.emitted, *committed);
+
         // Only rounds that actually ran a decode enter the service
         // statistics: non-closing windowed rounds cost no decode work,
         // and their zero "services" would dilute the percentiles
@@ -204,13 +425,12 @@ runStream(const StreamConfig &config, Decoder &decoder,
         // queue with zero service so arrival accounting is unchanged.)
         if (decoded) {
             result.serviceNs.add(serviceNs);
-            serviceHist.add(
-                static_cast<std::size_t>(std::llround(serviceNs)));
+            serviceTimes.push_back(
+                static_cast<double>(std::llround(serviceNs)));
         }
-
-        queue.push({k, arriveNs, serviceNs, false});
-        if (duplicated)
-            queue.push({k, arriveNs, 0.0, true});
+        queue.push({k, dv.arriveNs, serviceNs, false});
+        if (dv.duplicated)
+            queue.push({k, dv.arriveNs, 0.0, true});
         ++result.rounds;
 
         const std::size_t backlog = (k + 1) - completed;
@@ -223,345 +443,53 @@ runStream(const StreamConfig &config, Decoder &decoder,
                 {k, backlog, queue.fastDepth()});
     };
 
-    auto processRound = [&](std::size_t k) {
-        const double tArrive = static_cast<double>(k) * cycle;
-        retireBefore(tArrive);
-
-        // Produce and decode round k. The decode result is computed
-        // round-synchronously (closed-loop lifetime physics); only its
-        // cost is replayed against the virtual clock below.
-        const Syndrome *produced;
-        {
-            obs::TraceSpan produceSpan(obs::Stage::StreamProduce);
-            produced = &stream.emit();
-        }
-        const Syndrome &syndrome = *produced;
-        double serviceNs = 0.0;
-        double arriveNs = tArrive;
-        bool decoded = false;
-        bool duplicated = false;
-        if (w == 0 && faultsActive) {
-            const faults::RoundFaults rf = plan->eventFor(k);
-            const faults::RecoveryPolicy &policy = config.recovery;
-            faults::FaultCounts &fc = result.faults;
-
-            if (rf.delayCycles > 0) {
-                ++fc.delays;
-                arriveNs += static_cast<double>(rf.delayCycles) * cycle;
-            }
-
-            // Transport outcome for round k's delivery.
-            bool carried = false;   // decode the last clean frame
-            bool lost = false;      // no decode at all
-            bool corrupted = false; // decode the corrupted copy
-            if (rf.transportFault()) {
-                if (rf.dropped)
-                    ++fc.drops;
-                else
-                    ++fc.corruptions;
-                const int attempts = rf.retransmitsNeeded + 1;
-                if (policy.parityRetransmit &&
-                    attempts <= policy.maxRetransmits) {
-                    // Parity caught the fault; bounded re-requests are
-                    // paid in virtual ns with linear backoff (attempt
-                    // i costs i * retransmitNs), then the clean round
-                    // arrives.
-                    obs::TraceSpan span(obs::Stage::StreamRecover);
-                    fc.retransmits +=
-                        static_cast<std::uint64_t>(attempts);
-                    for (int i = 1; i <= attempts; ++i)
-                        arriveNs += static_cast<double>(i) *
-                                    policy.retransmitNs;
-                } else if (rf.dropped || policy.parityRetransmit) {
-                    // A drop, or a corruption parity caught but could
-                    // not recover within the re-request budget.
-                    if (policy.carryForward && lastGoodValid)
-                        carried = true;
-                    else
-                        lost = true;
-                } else {
-                    // No parity protection: the corruption is silent
-                    // and the consumer decodes the corrupted round.
-                    corrupted = true;
-                }
-            }
-            // Only delivered rounds can arrive twice.
-            duplicated = rf.duplicated && !lost && !carried;
-            if (duplicated)
-                ++fc.duplicates;
-
-            // Load shedding: above the backlog threshold the consumer
-            // refuses the decode. The lifetime syndrome is cumulative,
-            // so the next decoded round supersedes a shed one's
-            // information — DropOldest discards it outright, XorMerge
-            // folds it into the next decode for a small surcharge.
-            bool shed = false;
-            bool mergedRound = false;
-            if (!lost && policy.shedThreshold > 0 &&
-                queue.depth() >= policy.shedThreshold) {
-                if (policy.shedMode == faults::ShedMode::DropOldest) {
-                    shed = true;
-                    ++fc.shedRounds;
-                } else {
-                    mergedRound = true;
-                    ++fc.mergedRounds;
-                    pendingMergeNs += policy.mergeNs;
-                }
-            }
-
-            if (lost) {
-                ++fc.lostRounds;
-                if (observer && *observer)
-                    (*observer)(k, syndrome, emptyCorrection);
-            } else if (shed || mergedRound) {
-                if (observer && *observer)
-                    (*observer)(k, syndrome, emptyCorrection);
-            } else {
-                const Syndrome *toDecode = &syndrome;
-                if (carried) {
-                    obs::TraceSpan span(obs::Stage::StreamRecover);
-                    toDecode = lastGood.get();
-                    ++fc.carriedForward;
-                } else {
-                    if (corrupted) {
-                        *corruptScratch = syndrome;
-                        for (int i = 0; i < rf.corruptBits; ++i)
-                            corruptScratch->flip(static_cast<int>(
-                                rf.corruptAncilla
-                                    [static_cast<std::size_t>(i)]));
-                        toDecode = corruptScratch.get();
-                        ++fc.corruptDecodes;
-                    } else if (policy.carryForward) {
-                        *lastGood = syndrome;
-                        lastGoodValid = true;
-                    }
-                    ++fc.decodedRounds;
-                }
-                {
-                    obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
-                    decoder.decode(*toDecode, *workspace);
-                }
-                serviceNs = withEscalation(config.latency.decodeNs(
-                    decoder.meshStats(), toDecode->weight()));
-                if (pendingMergeNs > 0.0) {
-                    serviceNs += pendingMergeNs;
-                    pendingMergeNs = 0.0;
-                }
-                if (rf.stallFactor != 1.0) {
-                    ++fc.stalls;
-                    serviceNs *= rf.stallFactor;
-                }
-                bool provisionalOnly = false;
-                if (policy.deadlineNs > 0.0 &&
-                    serviceNs > policy.deadlineNs) {
-                    // Deadline miss: an escalated tiered decode
-                    // commits its provisional mesh answer instead of
-                    // waiting out the exact tier; anything else just
-                    // has its modeled service clamped to the budget.
-                    const TieredDecodeStats *ts = decoder.tieredStats();
-                    if (ts && ts->escalated) {
-                        provisionalOnly = true;
-                        ++fc.deadlineCommits;
-                    } else {
-                        ++fc.deadlineClamps;
-                    }
-                    serviceNs = policy.deadlineNs;
-                }
-                if (rf.decodeFailed) {
-                    // Transient decode failure: the service time is
-                    // paid but no correction lands; the residual
-                    // errors stay for the next round's decode.
-                    ++fc.decodeFailures;
-                    if (observer && *observer)
-                        (*observer)(k, syndrome, emptyCorrection);
-                } else {
-                    bool nowParity;
-                    {
-                        obs::TraceSpan commitSpan(
-                            obs::Stage::StreamCommit);
-                        nowParity = commitCorrection(provisionalOnly);
-                    }
-                    if (nowParity != parity)
-                        ++result.failures;
-                    parity = nowParity;
-                    if (observer && *observer)
-                        (*observer)(k, syndrome, workspace->correction);
-                }
-                decoded = true;
-            }
-        } else if (w == 0) {
-            {
-                obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
-                decoder.decode(syndrome, *workspace);
-            }
-            bool nowParity;
-            {
-                obs::TraceSpan commitSpan(obs::Stage::StreamCommit);
-                nowParity = commitCorrection(false);
-            }
-            if (nowParity != parity)
-                ++result.failures;
-            parity = nowParity;
-            if (observer && *observer)
-                (*observer)(k, syndrome, workspace->correction);
-            serviceNs = withEscalation(config.latency.decodeNs(
-                decoder.meshStats(), syndrome.weight()));
-            decoded = true;
-        } else {
-            const int t = static_cast<int>(k % w);
-            window->recordRound(t, syndrome);
-            if (t + 1 == static_cast<int>(w)) {
-                // Close the window with a perfect commit round,
-                // decode it as one spacetime problem, commit.
-                stream.extractPerfectInto(*commitSyn);
-                window->recordRound(static_cast<int>(w), *commitSyn);
-                {
-                    obs::TraceSpan decodeSpan(
-                        obs::Stage::StreamDecode);
-                    decoder.decodeWindow(*window, *workspace);
-                }
-                bool nowParity;
-                {
-                    obs::TraceSpan commitSpan(
-                        obs::Stage::StreamCommit);
-                    ++result.windows;
-                    nowParity = commitCorrection(false);
-                }
-                if (nowParity != parity)
-                    ++result.failures;
-                parity = nowParity;
-                if (observer && *observer)
-                    (*observer)(k, syndrome, workspace->correction);
-                serviceNs = withEscalation(config.latency.decodeNs(
-                    decoder.meshStats(), window->eventWeight()));
-                decoded = true;
-                // Re-arm: the next window's round-0 events are
-                // measured against the post-commit perfect frame.
-                stream.extractPerfectInto(*commitSyn);
-                window->reset();
-                window->setBaseline(*commitSyn);
-            } else if (observer && *observer) {
-                (*observer)(k, syndrome, emptyCorrection);
-            }
-        }
-        accountRound(k, arriveNs, serviceNs, decoded, duplicated);
+    // Produce and transport a group, decode it, commit it round by
+    // round: decode results are computed round-synchronously, only
+    // their cost is replayed against the virtual clock. Each round's
+    // faults are drawn once, a round ahead, so a fault can end a group.
+    auto faultsFor = [&](std::size_t k) {
+        return plan ? plan->eventFor(k) : faults::RoundFaults{};
     };
-
-    // The batched consumer gathers up to batchLanes produced rounds
-    // and decodes them through the decoder's lane-packed decodeBatch
-    // in one call. This is possible because the decode loop is
-    // *round-synchronous*: the only coupling between consecutive
-    // decodes is the committed correction, and for a decoder whose
-    // correction annihilates its syndrome the uncorrected (raw)
-    // syndromes telescope — S_eff[j] = S_raw[j] XOR S_raw[j-1] is
-    // exactly the syndrome the scalar loop would have emitted after
-    // round j-1's commit. Crossing parities recorded at emit time
-    // supply the per-round failure accounting (the replayed state is
-    // missing rounds j+1.. of the group's errors, whose parity
-    // contribution is emitParity[last] XOR emitParity[j]), and the
-    // virtual-clock timeline is then replayed round by round, so every
-    // result field, metric and observer callback is byte-identical to
-    // the scalar consumer. Rounds struck by injected faults (and any
-    // configuration the equivalence argument does not cover) run
-    // through the untouched scalar path.
-    const bool batchedConsumer =
-        config.batchLanes > 1 && w == 0 &&
-        decoder.correctionClearsSyndrome() &&
-        decoder.tieredStats() == nullptr &&
-        config.recovery.shedThreshold == 0;
-
-    if (!batchedConsumer) {
-        for (std::size_t k = 0; k < config.rounds; ++k)
-            processRound(k);
-    } else {
-        std::vector<Syndrome> lanes(
-            config.batchLanes, Syndrome(*config.lattice, ErrorType::Z));
-        std::vector<char> emitParity(config.batchLanes, 0);
-        std::vector<const Syndrome *> ptrs(config.batchLanes, nullptr);
-        std::size_t k = 0;
-        while (k < config.rounds) {
-            if (faultsActive && plan->eventFor(k).anyFault()) {
-                processRound(k);
-                ++k;
-                continue;
+    faults::RoundFaults ahead = faultsFor(0);
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < config.rounds; k += n) {
+        n = 0;
+        do {
+            Delivery &dv = group[n];
+            dv.rf = ahead;
+            {
+                obs::TraceSpan produceSpan(obs::Stage::StreamProduce);
+                dv.emitted = &stream.emit();
             }
-            std::size_t n = 1;
-            while (k + n < config.rounds && n < config.batchLanes &&
-                   !(faultsActive && plan->eventFor(k + n).anyFault()))
-                ++n;
-
-            // Phase 1: emit the group's raw (uncorrected) syndromes in
-            // production order — the producer's RNG draw sequence is
-            // untouched — recording each round's crossing parity.
-            for (std::size_t i = 0; i < n; ++i) {
-                {
-                    obs::TraceSpan produceSpan(
-                        obs::Stage::StreamProduce);
-                    lanes[i] = stream.emit();
-                }
-                emitParity[i] =
-                    crossingParity(stream.state(), ErrorType::Z) ? 1
-                                                                 : 0;
+            if (maxGroup > 1) {
+                lanes[n] = *dv.emitted;
+                dv.emitted = &lanes[n];
+                dv.emitParity =
+                    crossingParity(stream.state(), ErrorType::Z);
             }
+            transport(dv, k + n);
+            ++n;
+            if (k + n < config.rounds)
+                ahead = faultsFor(k + n);
+        } while (n < maxGroup && k + n < config.rounds &&
+                 !group[0].rf.anyFault() && !ahead.anyFault());
 
-            // Phase 2: telescope raw -> effective syndromes in place
-            // (backwards, so each XOR still sees its raw predecessor)
-            // and decode the whole group lane-parallel.
+        if (n > 1) {
+            // Telescope raw -> effective syndromes in place (backwards,
+            // so each XOR still sees its raw predecessor).
             for (std::size_t i = n; i-- > 1;)
                 lanes[i].xorMask(lanes[i - 1].bits());
-            for (std::size_t i = 0; i < n; ++i)
-                ptrs[i] = &lanes[i];
-            {
-                obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
-                decoder.decodeBatch(ptrs.data(), n, *workspace);
-            }
-
-            // Phase 3: replay the virtual-clock timeline round by
-            // round, committing each lane's correction in order.
-            const bool groupEndParity = emitParity[n - 1] != 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::size_t kk = k + i;
-                const double tArrive =
-                    static_cast<double>(kk) * cycle;
-                retireBefore(tArrive);
-                if (faultsActive) {
-                    // Fault-free rounds under an active fault plan
-                    // still maintain the recovery bookkeeping the next
-                    // (scalar) fault round may consume.
-                    if (config.recovery.carryForward) {
-                        *lastGood = lanes[i];
-                        lastGoodValid = true;
-                    }
-                    ++result.faults.decodedRounds;
-                }
-                double serviceNs = config.latency.decodeNs(
-                    decoder.meshStats(i), lanes[i].weight());
-                if (faultsActive && config.recovery.deadlineNs > 0.0 &&
-                    serviceNs > config.recovery.deadlineNs) {
-                    ++result.faults.deadlineClamps;
-                    serviceNs = config.recovery.deadlineNs;
-                }
-                bool nowParity;
-                {
-                    obs::TraceSpan commitSpan(obs::Stage::StreamCommit);
-                    workspace->laneCorrections[i].applyTo(
-                        stream.state(), ErrorType::Z);
-                    const bool futureParity =
-                        (emitParity[i] != 0) != groupEndParity;
-                    nowParity =
-                        crossingParity(stream.state(), ErrorType::Z) !=
-                        futureParity;
-                }
-                if (nowParity != parity)
-                    ++result.failures;
-                parity = nowParity;
-                if (observer && *observer)
-                    (*observer)(kk, lanes[i],
-                                workspace->laneCorrections[i]);
-                accountRound(kk, tArrive, serviceNs, true, false);
-            }
-            k += n;
+            obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
+            decoder.decodeBatch(lanePtrs.data(), n, *workspace);
+        } else if (group[0].closesWindow) {
+            obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
+            decoder.decodeWindow(*window, *workspace);
+        } else if (group[0].input) {
+            obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
+            decoder.decode(*group[0].input, *workspace);
         }
+        for (std::size_t i = 0; i < n; ++i)
+            commitRound(i, n, k + i);
     }
 
     // Production is over; drain whatever is still pending.
@@ -585,12 +513,10 @@ runStream(const StreamConfig &config, Decoder &decoder,
     result.logicalErrorRate =
         static_cast<double>(result.failures) /
         static_cast<double>(w > 0 ? result.windows : result.rounds);
-    result.servicePercentiles.p50 =
-        percentileFromHistogram(serviceHist, 0.50);
-    result.servicePercentiles.p90 =
-        percentileFromHistogram(serviceHist, 0.90);
-    result.servicePercentiles.p99 =
-        percentileFromHistogram(serviceHist, 0.99);
+    std::sort(serviceTimes.begin(), serviceTimes.end());
+    result.servicePercentiles.p50 = percentileOfSorted(serviceTimes, 0.50);
+    result.servicePercentiles.p90 = percentileOfSorted(serviceTimes, 0.90);
+    result.servicePercentiles.p99 = percentileOfSorted(serviceTimes, 0.99);
     result.servicePercentiles.max = result.serviceNs.max();
 
     // Deterministic stream.* counters: everything below is a function
@@ -617,8 +543,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
     // stream.fault.* keys exist only on fault/recovery-active runs so
     // fault-free metric reports (and every pre-fault golden) keep
     // their exact key set.
-    if (faultsActive) {
-        const faults::FaultCounts &fc = result.faults;
+    if (plan) {
         result.metrics.add("stream.fault.drops", fc.drops);
         result.metrics.add("stream.fault.corruptions", fc.corruptions);
         result.metrics.add("stream.fault.duplicates", fc.duplicates);

@@ -9,7 +9,9 @@
  * the same syndromes and the lifetime-protocol physics stays closed);
  * decode *timing* is replayed against the virtual clock, producing
  * queue-depth, latency-percentile and backlog-trajectory telemetry.
- * Everything is a deterministic function of the configuration and seed.
+ * runStream is one round pipeline — produce, transport (faults),
+ * decode a group of 1..batchLanes rounds, commit each round — and
+ * everything is a deterministic function of the configuration and seed.
  */
 
 #ifndef NISQPP_STREAM_STREAM_SIM_HH
@@ -58,27 +60,29 @@ struct StreamConfig
     /**
      * Seeded fault injection striking transport and consumer (all-zero
      * = fault-free), and the recovery/degradation policy answering it.
-     * Both default-inactive; a run with neither active takes exactly
-     * the fault-free code path (no extra RNG draws, no fault metrics),
-     * so existing goldens are untouched. Fault injection requires the
-     * per-round pipeline (windowRounds == 0). @{
+     * Both act at the pipeline's transport and commit stages and both
+     * default inactive: a run with neither builds no FaultPlan, draws
+     * no fault randomness, leaves the fault ledger all-zero and
+     * reports no stream.fault.* metrics, so existing goldens are
+     * untouched. Fault injection requires the per-round pipeline
+     * (windowRounds == 0). @{
      */
     faults::FaultSpec faults;
     faults::RecoveryPolicy recovery;
     /** @} */
 
     /**
-     * Rounds drained per decodeBatch group (--batch, NISQPP_BATCH):
-     * 1 decodes every round scalar; larger values let the consumer
-     * gather up to this many produced rounds and decode them through
-     * the decoder's lane-packed decodeBatch in one call, replaying the
-     * virtual-clock timeline round by round afterwards. The batched
-     * consumer engages only when it is provably equivalent — per-round
-     * pipeline, a decoder whose corrections annihilate their syndrome
+     * Largest decode group (--batch, NISQPP_BATCH): 1 decodes every
+     * round as a group of one; larger values let the decode stage
+     * take up to this many produced rounds through the decoder's
+     * lane-packed decodeBatch in one call, after which the commit
+     * stage replays them round by round. Groups grow past one only
+     * when that is provably equivalent — per-round pipeline, a decoder
+     * whose corrections annihilate their syndrome
      * (correctionClearsSyndrome), no tiered escalation and no load
-     * shedding — and falls back to the scalar path otherwise; rounds
-     * struck by injected faults always run scalar. Every result field
-     * and metric is byte-identical either way.
+     * shedding — and a round struck by an injected fault always forms
+     * its own group. Every result field, metric and observer callback
+     * is byte-identical at any value.
      */
     std::size_t batchLanes = 1;
 };
@@ -119,7 +123,11 @@ struct StreamingResult
     RunningStats serviceNs;
     /** Arrival-to-completion sojourn per round (ns; includes queueing). */
     RunningStats sojournNs;
-    /** Service-time percentiles from exact 1 ns bins. */
+    /**
+     * Service-time percentiles: each is the smallest rounded (1 ns)
+     * service time covering that fraction of decodes, exact at any
+     * magnitude.
+     */
     LatencyPercentiles servicePercentiles;
 
     std::size_t maxQueueDepth = 0;   ///< fast-ring high-water mark
@@ -166,11 +174,14 @@ struct StreamingResult
 };
 
 /**
- * Per-round observer: invoked after each round's decode with the
- * emitted syndrome and the correction the decoder returned for it
- * (used by the batch-equivalence tests and explorers). On windowed
- * runs non-commit rounds report an empty correction; the commit round
- * reports the whole window's committed correction.
+ * Per-round observer: invoked exactly once per produced round, in
+ * round order, at the round's commit, with the *emitted* syndrome
+ * (never a corrupted or carried-forward copy the consumer decoded
+ * instead) and the correction committed for it (used by the
+ * batch-equivalence tests and explorers). Rounds that commit nothing
+ * — lost, shed, merged or failed decodes, non-commit windowed rounds —
+ * report an empty correction; a window's commit round reports the
+ * whole window's committed correction.
  */
 using StreamObserver = std::function<void(
     std::size_t round, const Syndrome &syndrome, const Correction &)>;

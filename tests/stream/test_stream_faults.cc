@@ -185,6 +185,24 @@ TEST(StreamFaults, StallsInflateServiceTime)
                      4.0 * baseline.serviceNs.mean());
 }
 
+TEST(StreamFaults, ServicePercentilesStayExactAtAnyMagnitude)
+{
+    // Every decode stalls 10x past union-find's 850 ns reference
+    // latency: the percentiles must report the true 8500 ns, not
+    // saturate at a fixed bin ceiling.
+    SurfaceLattice lattice(3);
+    StreamConfig config = baseConfig(lattice, "union_find");
+    config.faults.stallRate = 1.0;
+    config.faults.stallFactor = 10.0;
+
+    const StreamingResult r = run(config, "union_find");
+    EXPECT_EQ(r.faults.stalls, kRounds);
+    EXPECT_EQ(r.servicePercentiles.p50, 8500.0);
+    EXPECT_EQ(r.servicePercentiles.p90, 8500.0);
+    EXPECT_EQ(r.servicePercentiles.p99, 8500.0);
+    EXPECT_EQ(r.servicePercentiles.max, 8500.0);
+}
+
 TEST(StreamFaults, DecodeFailuresCommitNothing)
 {
     SurfaceLattice lattice(3);

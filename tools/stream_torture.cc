@@ -9,7 +9,7 @@
  * Each plan draws a random operating point (distance, cycle time,
  * horizon, fault mix, recovery policy combo, decoder — including the
  * tiered decoder under a decode deadline) from a seeded generator and
- * runs it through runStream twice, asserting per plan:
+ * runs it through runStream three times, asserting per plan:
  *
  *   1. completion — the run returns (a deadlock would hang the
  *      harness into the ctest timeout);
@@ -19,7 +19,11 @@
  *   3. monotone virtual clock — no completion time ran backwards, and
  *      the drain time is non-negative;
  *   4. determinism — the second run's full result fingerprint
- *      (counters and exact double bit patterns) is byte-identical.
+ *      (counters and exact double bit patterns) is byte-identical;
+ *   5. batch replay — a third run with batchLanes in [2, 64] (drawn
+ *      from the plan's seed, so the plan stream itself is unchanged)
+ *      has the same fingerprint: the batched consumer is exact under
+ *      faults, and falls back cleanly where it does not apply.
  *
  * A final cross-check runs the fault_sweep scenario at --threads 1 and
  * --threads 4 and requires byte-identical CSV output, pinning the
@@ -192,14 +196,22 @@ fingerprint(const nisqpp::StreamingResult &r)
     return os.str();
 }
 
+/** Batch replay lane count in [2, 64], a pure function of the plan. */
+std::size_t
+replayLanes(const Plan &plan)
+{
+    return 2 + static_cast<std::size_t>(plan.config.seed % 63);
+}
+
 nisqpp::StreamingResult
-runPlan(const Plan &plan)
+runPlan(const Plan &plan, std::size_t batchLanes = 1)
 {
     // Fresh lattice + decoder per run: determinism must hold from
     // construction, not from reused warm state.
     nisqpp::SurfaceLattice lattice(plan.distance);
     nisqpp::StreamConfig config = plan.config;
     config.lattice = &lattice;
+    config.batchLanes = batchLanes;
     std::unique_ptr<nisqpp::Decoder> decoder;
     if (plan.decoder == "tiered")
         decoder = nisqpp::tieredDecoderFactory(
@@ -283,6 +295,10 @@ main(int argc, char **argv)
         const nisqpp::StreamingResult second = runPlan(plan);
         if (fingerprint(first) != fingerprint(second))
             fail("replay diverged: " + describe(plan));
+        const std::size_t lanes = replayLanes(plan);
+        if (fingerprint(runPlan(plan, lanes)) != fingerprint(first))
+            fail("batch replay at " + std::to_string(lanes) +
+                 " lanes diverged: " + describe(plan));
         std::cout << "stream_torture: plan " << (i + 1) << "/" << plans
                   << " ok (" << describe(plan) << ")\n";
     }
