@@ -6,7 +6,6 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -16,7 +15,7 @@
 #include <mutex>
 #include <sstream>
 
-#include "common/fault_env.hh"
+#include "common/knob.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -288,9 +287,6 @@ hashLines(const std::vector<std::string> &lines, std::size_t beg,
 
 /** @name Fault injection + write bookkeeping (process-global) @{ */
 
-using faultenv::WriteFaultMode;
-using faultenv::WriteFaultPlan;
-
 std::mutex g_writeMutex;
 std::uint64_t g_writeCount = 0;
 bool g_faultParsed = false;
@@ -302,7 +298,7 @@ const WriteFaultPlan &
 faultPlan()
 {
     if (!g_faultParsed) {
-        g_faultPlan = faultenv::writeFaultPlanFromEnv();
+        g_faultPlan = writeFaultPlanFromEnv();
         g_faultParsed = true;
     }
     return g_faultPlan;
@@ -556,30 +552,6 @@ loadCheckpoint(const std::string &path)
     return deserializeLedger(in);
 }
 
-std::size_t
-checkpointIntervalFromEnv(std::size_t fallback)
-{
-    const char *env = std::getenv("NISQPP_CKPT_INTERVAL");
-    if (!env || !*env)
-        return fallback;
-    // Validated like NISQPP_TRIALS/NISQPP_BATCH: zero, negative,
-    // non-numeric, fractional and absurdly large values all warn and
-    // keep the previous setting.
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || (end && *end != '\0') || !std::isfinite(v) ||
-        v < 1 || v > static_cast<double>(kMaxCheckpointInterval) ||
-        v != std::floor(v)) {
-        warn("NISQPP_CKPT_INTERVAL='" + std::string(env) +
-             "' is not an integer in [1, " +
-             std::to_string(kMaxCheckpointInterval) +
-             "]; keeping checkpoint interval = " +
-             std::to_string(fallback));
-        return fallback;
-    }
-    return static_cast<std::size_t>(v);
-}
-
 void
 installSignalHandlers()
 {
@@ -610,6 +582,27 @@ setWriteObserver(std::function<void(std::uint64_t)> observer)
 {
     std::lock_guard<std::mutex> lock(g_writeMutex);
     g_observer = std::move(observer);
+}
+
+WriteFaultPlan
+writeFaultPlanFromEnv(const char *var)
+{
+    knob::Value list;
+    if (!knob::readEnv(var, {knob::Kind::List}, list))
+        return {};
+    const knob::Directive &d = list.list.front();
+    const WriteFaultMode mode =
+        d.key == "kill-after"   ? WriteFaultMode::Kill
+        : d.key == "tear-after" ? WriteFaultMode::Tear
+                                : WriteFaultMode::None;
+    knob::Value count;
+    if (list.list.size() != 1 || mode == WriteFaultMode::None ||
+        !knob::parse({knob::Kind::Seed, 1.0}, d.value, count).empty()) {
+        knob::rejectEnv(var, list.text,
+                        "want kill-after=N or tear-after=N with N >= 1");
+        return {};
+    }
+    return {mode, count.integer};
 }
 
 void

@@ -184,15 +184,6 @@ void writeCheckpoint(const std::string &path,
 /** Load and validate @p path; throws CheckpointError (read-only). */
 CheckpointLedger loadCheckpoint(const std::string &path);
 
-/**
- * Checkpoint interval from NISQPP_CKPT_INTERVAL (shard completions
- * between writes), or @p fallback when unset. Malformed values — zero,
- * negative, non-numeric, fractional, above kMaxCheckpointInterval —
- * warn and keep the fallback, exactly like NISQPP_TRIALS/NISQPP_BATCH.
- */
-std::size_t checkpointIntervalFromEnv(
-    std::size_t fallback = kDefaultCheckpointInterval);
-
 /** @name Cooperative interruption (SIGINT/SIGTERM → drain + save) @{ */
 
 /**
@@ -226,6 +217,26 @@ void setWriteObserver(std::function<void(std::uint64_t)> observer);
 
 /** Reset the process-lifetime write counter the fault injector uses. */
 void resetFaultState();
+
+/** Checkpoint-write fault modes. */
+enum class WriteFaultMode
+{
+    None, ///< no fault injection
+    Kill, ///< finish the Nth write, then exit
+    Tear  ///< die mid-payload of the Nth write (no rename)
+};
+
+/** A parsed NISQPP_FAULT_INJECT plan. */
+struct WriteFaultPlan
+{
+    WriteFaultMode mode = WriteFaultMode::None;
+    std::uint64_t afterWrites = 0;
+};
+
+/** Parse @p var as "kill-after=N | tear-after=N"; anything malformed
+ *  warns and returns a disabled plan. */
+WriteFaultPlan
+writeFaultPlanFromEnv(const char *var = "NISQPP_FAULT_INJECT");
 
 /** @} */
 

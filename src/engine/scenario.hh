@@ -31,7 +31,11 @@ enum class OutputFormat
     Json,  ///< one JSON document with every table, notes suppressed
 };
 
-/** Parsed command-line options shared by nisqpp_run and the benches. */
+/**
+ * Parsed command-line options shared by nisqpp_run and the benches.
+ * Each field is set by a row of the knob table (engine/knobs.cc), which
+ * holds its flag, env twin, range and help text.
+ */
 struct RunOptions
 {
     int threads = 1;
@@ -40,45 +44,20 @@ struct RunOptions
     std::uint64_t seed = 0;
     bool seedSet = false; ///< --seed given: overrides scenario defaults
     OutputFormat format = OutputFormat::Table;
-    /**
-     * Rounds per decodeBatch group (--batch, NISQPP_BATCH): 1 decodes
-     * scalar, larger values drive the mesh decoder's lane-packed batch
-     * substrate. Aggregates are byte-identical either way.
-     */
     std::size_t batchLanes = 1;
-    /** --metrics-out FILE: write the machine-readable run report. */
     std::string metricsOut;
-    /** --trace-out FILE: write a chrome://tracing event dump. */
     std::string traceOut;
-    /** --checkpoint FILE: periodically persist the sweep ledger. */
     std::string checkpointPath;
-    /** --resume FILE: restore a ledger (and keep checkpointing to it
-     *  unless --checkpoint names a different file). */
+    /** Also the checkpoint target unless checkpointPath is set. */
     std::string resumePath;
-    /** --checkpoint-interval N / NISQPP_CKPT_INTERVAL: shard
-     *  completions between periodic writes. */
     std::size_t checkpointInterval = ckpt::kDefaultCheckpointInterval;
-    bool checkpointIntervalSet = false; ///< flag given explicitly
-    /**
-     * --escalate-threshold X in [0, 1]: pin the tiered_decode
-     * scenario to one confidence threshold instead of its default
-     * sweep. Negative = not given.
-     */
-    double escalateThreshold = -1.0;
-    /**
-     * --fault-drop/--fault-corrupt/--fault-dup/--fault-delay/
-     * --fault-stall/--fault-fail/--fault-seed (or the
-     * NISQPP_STREAM_FAULTS env twin): pin the fault_sweep scenario to
-     * one fault operating point instead of its default rate grid.
-     * faultGiven marks that any of them was set.
-     */
+    bool checkpointIntervalSet = false; ///< the flag, not the env twin
+    double escalateThreshold = -1.0; ///< negative = not given
     faults::FaultSpec faultSpec;
-    bool faultGiven = false;
-    /**
-     * --deadline-ns X > 0: pin fault_sweep's deadline policy to this
-     * per-round decode budget. 0 = not given (scenario default).
-     */
-    double deadlineNs = 0.0;
+    bool faultGiven = false; ///< any fault knob set: pin faultSpec
+    double deadlineNs = 0.0; ///< 0 = not given (scenario default)
+
+    bool operator==(const RunOptions &) const = default;
 };
 
 /**
@@ -101,7 +80,8 @@ class ScenarioContext
     /** Scenario's master seed: --seed when given, else @p fallback. */
     std::uint64_t seed(std::uint64_t fallback) const;
 
-    /** Apply --trials-scale and then NISQPP_TRIALS to a stop rule. */
+    /** Apply --trials-scale and then NISQPP_TRIALS (read once, at
+     *  construction) to a stop rule. */
     StopRule scaled(const StopRule &rule) const;
 
     /** --escalate-threshold when given, else negative. */
@@ -157,6 +137,7 @@ class ScenarioContext
 
   private:
     RunOptions options_;
+    double envTrials_ = 0.0; ///< NISQPP_TRIALS multiplier; 0 = none
     std::ostream &os_;
     std::unique_ptr<Engine> engine_; ///< lazily constructed
     obs::MetricSet metrics_;
@@ -185,7 +166,9 @@ int runScenario(const std::string &name, const RunOptions &options,
 
 /**
  * Entry point of a thin bench binary pinned to @p name: parses the
- * shared flags (everything but --scenario) and runs.
+ * shared flags (everything but --scenario and --list) and runs. An
+ * empty @p name is nisqpp_run. Defined beside the knob table
+ * (engine/knobs.cc).
  */
 int scenarioMain(const std::string &name, int argc, char **argv);
 

@@ -105,13 +105,6 @@ struct EngineOptions
     std::size_t batchLanes = 1;
 };
 
-/**
- * Batch-lane count from the NISQPP_BATCH environment variable
- * (an integer round-group size, <= kMaxBatchLanes), or @p fallback
- * when unset. Malformed values warn and fall back.
- */
-std::size_t batchLanesFromEnv(std::size_t fallback = 1);
-
 /** Largest accepted round-group size (scratch-memory guard). */
 inline constexpr std::size_t kMaxBatchLanes = 4096;
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/knob.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "decoders/decoder.hh"
@@ -33,6 +34,13 @@ namespace nisqpp {
  */
 inline constexpr double kMaxTrialsMultiplier = 1e6;
 
+/** NISQPP_TRIALS: multiplies trial budgets on top of --trials-scale. */
+inline constexpr const char *kTrialsEnv = "NISQPP_TRIALS";
+
+/** The value kind NISQPP_TRIALS and --trials-scale share. */
+inline constexpr knob::Kind kTrialsMultiplier =
+    {knob::Kind::Real, 0.0, kMaxTrialsMultiplier, true};
+
 /** Stopping rule for adaptive sampling. */
 struct StopRule
 {
@@ -49,10 +57,8 @@ struct StopRule
     /**
      * Scale trial counts by the NISQPP_TRIALS environment variable
      * (a multiplier, default 1.0) so benches can be re-run at higher
-     * statistical resolution without recompiling. Malformed values
-     * (non-numeric, non-positive, NaN/inf, above
-     * kMaxTrialsMultiplier) are rejected with a warning and leave
-     * the rule unchanged.
+     * statistical resolution without recompiling. A malformed value
+     * (outside kTrialsMultiplier) warns and leaves the rule unchanged.
      */
     StopRule scaledByEnv() const;
 };

@@ -1,6 +1,6 @@
-/** @file NISQPP_CKPT_INTERVAL environment validation: malformed
- * cadences must warn and keep the previous setting, exactly like
- * NISQPP_TRIALS and NISQPP_BATCH. */
+/** @file NISQPP_CKPT_INTERVAL environment validation through the knob
+ * table's env reader: malformed cadences must warn and keep the
+ * previous setting, exactly like NISQPP_TRIALS and NISQPP_BATCH. */
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <string>
 
 #include "ckpt/checkpoint.hh"
+#include "engine/knobs.hh"
 
 namespace nisqpp {
 namespace {
@@ -41,75 +42,85 @@ class IntervalEnv
     bool hadValue_ = false;
 };
 
+/** The interval after the env reader runs over @p before. */
+std::size_t
+intervalAfterEnv(std::size_t before)
+{
+    CliArgs args;
+    args.options.checkpointInterval = before;
+    applyEnv(args, "");
+    return args.options.checkpointInterval;
+}
+
 TEST(CkptIntervalEnv, UnsetKeepsFallback)
 {
     IntervalEnv env(nullptr);
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(7), 7u);
+    EXPECT_EQ(intervalAfterEnv(32), 32u);
+    EXPECT_EQ(intervalAfterEnv(7), 7u);
 }
 
 TEST(CkptIntervalEnv, ValidValueIsUsed)
 {
     IntervalEnv env("128");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 128u);
+    EXPECT_EQ(intervalAfterEnv(32), 128u);
 }
 
 TEST(CkptIntervalEnv, OneIsValid)
 {
     IntervalEnv env("1");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 1u);
+    EXPECT_EQ(intervalAfterEnv(32), 1u);
 }
 
 TEST(CkptIntervalEnv, MaxIsValid)
 {
     IntervalEnv env(
         std::to_string(ckpt::kMaxCheckpointInterval).c_str());
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32),
+    EXPECT_EQ(intervalAfterEnv(32),
               ckpt::kMaxCheckpointInterval);
 }
 
 TEST(CkptIntervalEnv, ExponentNotationIsAcceptedWhenIntegral)
 {
-    // Parsed with strtod like every other nisqpp env knob, so
-    // integral exponent notation works uniformly.
+    // The shared integer kind accepts integral exponent notation at
+    // every knob that uses it.
     IntervalEnv env("1e3");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 1000u);
+    EXPECT_EQ(intervalAfterEnv(32), 1000u);
 }
 
 TEST(CkptIntervalEnv, ZeroRejectedKeepsPrevious)
 {
     IntervalEnv env("0");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalAfterEnv(32), 32u);
 }
 
 TEST(CkptIntervalEnv, NegativeRejectedKeepsPrevious)
 {
     IntervalEnv env("-4");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalAfterEnv(32), 32u);
 }
 
 TEST(CkptIntervalEnv, FractionalRejectedKeepsPrevious)
 {
     IntervalEnv env("2.5");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalAfterEnv(32), 32u);
 }
 
 TEST(CkptIntervalEnv, NonNumericRejectedKeepsPrevious)
 {
     IntervalEnv env("often");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalAfterEnv(32), 32u);
 }
 
 TEST(CkptIntervalEnv, TrailingJunkRejectedKeepsPrevious)
 {
     IntervalEnv env("12x");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalAfterEnv(32), 32u);
 }
 
 TEST(CkptIntervalEnv, AboveMaxRejectedKeepsPrevious)
 {
     IntervalEnv env("1000000001");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalAfterEnv(32), 32u);
 }
 
 } // namespace

@@ -43,6 +43,14 @@ function(check_cli name expect_zero stream pattern)
   endif()
 endfunction()
 
+# check_cli_env(<name> <expect_rc_zero?> <stream> <regex> <VAR=value>
+#               args...): check_cli with one environment variable set.
+function(check_cli_env name expect_zero stream pattern env)
+  set(NISQPP_RUN ${CMAKE_COMMAND} -E env ${env} ${NISQPP_RUN})
+  check_cli(${name} ${expect_zero} ${stream} "${pattern}" ${ARGN})
+  set(failures ${failures} PARENT_SCOPE)
+endfunction()
+
 # Rejections: non-zero exit + a message that names the problem.
 check_cli(unknown_scenario FALSE ERR
           "unknown scenario 'fig99_bogus'.*--list"
@@ -59,6 +67,31 @@ check_cli(unknown_flag FALSE ERR
 check_cli(negative_seed FALSE ERR
           "--seed: expected an unsigned 64-bit integer"
           --scenario fig01_sqv --seed -5)
+# Seeds are decimal digits only: hex and octal spellings must not alias
+# another seed, and the fault-plan seed shares the seed= directive's
+# range (>= 1) with NISQPP_STREAM_FAULTS.
+check_cli(hex_seed FALSE ERR
+          "--seed: expected an unsigned 64-bit integer"
+          --scenario fig01_sqv --seed 0x8)
+check_cli(zero_fault_seed FALSE ERR
+          "--fault-seed: expected an unsigned 64-bit integer"
+          fault_sweep --fault-seed 0)
+set(seed_args fig10_final --format csv --trials-scale 0.01)
+execute_process(COMMAND ${NISQPP_RUN} ${seed_args} --seed 010
+                RESULT_VARIABLE seed010_rc OUTPUT_VARIABLE seed010_out
+                ERROR_QUIET)
+execute_process(COMMAND ${NISQPP_RUN} ${seed_args} --seed 8
+                RESULT_VARIABLE seed8_rc OUTPUT_VARIABLE seed8_out
+                ERROR_QUIET)
+if(NOT seed010_rc EQUAL 0 OR NOT seed8_rc EQUAL 0 OR
+   seed010_out STREQUAL seed8_out)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "decimal_seed: --seed 010 (exit ${seed010_rc}) must "
+                  "run as seed ten, not alias --seed 8 (exit ${seed8_rc})")
+else()
+  message(STATUS "decimal_seed: ok")
+endif()
+
 check_cli(missing_scenario FALSE ERR
           "usage: nisqpp_run"
           --threads 2)
@@ -115,6 +148,41 @@ check_cli(bad_deadline_negative FALSE ERR
 check_cli(bad_deadline_junk FALSE ERR
           "--deadline-ns: expected a number"
           fault_sweep --deadline-ns soon)
+
+# Pinning knobs apply to their own scenario only: the flag fails hard
+# anywhere else, the env twin warns that it is ignored.
+check_cli(fault_flag_other_scenario FALSE ERR
+          "--fault-drop only applies to fault_sweep"
+          fig10_final --fault-drop 0.9)
+check_cli(deadline_flag_other_scenario FALSE ERR
+          "--deadline-ns only applies to fault_sweep"
+          tiered_decode --deadline-ns 700)
+check_cli(escalate_flag_other_scenario FALSE ERR
+          "--escalate-threshold only applies to tiered_decode"
+          fault_sweep --escalate-threshold 0.5)
+check_cli_env(fault_env_other_scenario TRUE ERR
+              "NISQPP_STREAM_FAULTS only applies to fault_sweep; ignored"
+              NISQPP_STREAM_FAULTS=drop=0.1
+              fig01_sqv --format csv)
+
+# NISQPP_TRIALS is read once per run: a malformed value warns exactly
+# once, not once per trial budget the scenario scales.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env NISQPP_TRIALS=bogus
+                        ${NISQPP_RUN} noise_zoo --trials-scale 0.01
+                        --format csv
+                RESULT_VARIABLE trials_rc OUTPUT_QUIET
+                ERROR_VARIABLE trials_err)
+string(REGEX MATCHALL "warn: NISQPP_TRIALS" trials_warnings
+       "${trials_err}")
+list(LENGTH trials_warnings trials_warning_count)
+if(NOT trials_rc EQUAL 0 OR NOT trials_warning_count EQUAL 1)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "trials_env_warns_once: exit ${trials_rc}, "
+                  "${trials_warning_count} NISQPP_TRIALS warnings:\n"
+                  "${trials_err}")
+else()
+  message(STATUS "trials_env_warns_once: ok")
+endif()
 
 # Pinning flags collapse fault_sweep's rate grid to one labeled point.
 check_cli(fault_pin_happy TRUE OUT "pinned"

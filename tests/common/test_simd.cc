@@ -1,7 +1,7 @@
 /** @file Runtime SIMD dispatch: NISQPP_SIMD validation must warn and
- * keep the fallback width (exactly like NISQPP_BATCH), parseWidth is
- * the hard-failing CLI contract, and the shared lane-word element
- * accessors behave identically at every width. */
+ * keep the fallback width (exactly like NISQPP_BATCH), the --simd knob
+ * row is the hard-failing CLI contract, and the shared lane-word
+ * element accessors behave identically at every width. */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/simd.hh"
+#include "engine/knobs.hh"
 
 namespace nisqpp {
 namespace {
@@ -42,14 +43,55 @@ class SimdEnv
     bool hadValue_ = false;
 };
 
+/** The width a knob-table step leaves behind when it starts at
+ *  @p before; the process-wide width is restored afterwards. */
+template <typename Step>
+simd::Width
+widthAfter(simd::Width before, Step step)
+{
+    const simd::Width saved = simd::activeWidth();
+    simd::setActiveWidth(before);
+    step();
+    const simd::Width after = simd::activeWidth();
+    simd::setActiveWidth(saved);
+    return after;
+}
+
+/** NISQPP_SIMD through the knob table's env reader. */
+simd::Width
+widthFromEnv(simd::Width fallback)
+{
+    return widthAfter(fallback, [] {
+        CliArgs args;
+        applyEnv(args, "");
+    });
+}
+
+/** --simd TEXT through the knob table's flag path: false (and @p out
+ *  untouched) when the flag rejects the text. */
+bool
+parseWidth(const std::string &text, simd::Width &out)
+{
+    const Knob *row = nullptr;
+    for (const Knob &k : knobTable())
+        if (k.flag && std::string(k.flag) == "--simd")
+            row = &k;
+    bool ok = false;
+    out = widthAfter(out, [&] {
+        CliArgs args;
+        ok = applyFlag(*row, text, args).empty();
+    });
+    return ok;
+}
+
 TEST(Simd, ParseWidthAcceptsTheThreeNames)
 {
     simd::Width w = simd::Width::Scalar;
-    EXPECT_TRUE(simd::parseWidth("scalar", w));
+    EXPECT_TRUE(parseWidth("scalar", w));
     EXPECT_EQ(w, simd::Width::Scalar);
-    EXPECT_TRUE(simd::parseWidth("v256", w));
+    EXPECT_TRUE(parseWidth("v256", w));
     EXPECT_EQ(w, simd::Width::V256);
-    EXPECT_TRUE(simd::parseWidth("v512", w));
+    EXPECT_TRUE(parseWidth("v512", w));
     EXPECT_EQ(w, simd::Width::V512);
 }
 
@@ -58,7 +100,7 @@ TEST(Simd, ParseWidthRejectsEverythingElse)
     simd::Width w = simd::Width::V256;
     for (const char *bad : {"", "avx2", "avx512", "256", "V256",
                             "scalar ", " v512", "v1024"}) {
-        EXPECT_FALSE(simd::parseWidth(bad, w)) << "'" << bad << "'";
+        EXPECT_FALSE(parseWidth(bad, w)) << "'" << bad << "'";
         EXPECT_EQ(w, simd::Width::V256) << "'" << bad
                                         << "' clobbered the out-param";
     }
@@ -69,7 +111,7 @@ TEST(Simd, WidthNameRoundTrips)
     for (simd::Width w : {simd::Width::Scalar, simd::Width::V256,
                           simd::Width::V512}) {
         simd::Width parsed = simd::Width::Scalar;
-        EXPECT_TRUE(simd::parseWidth(simd::widthName(w), parsed));
+        EXPECT_TRUE(parseWidth(simd::widthName(w), parsed));
         EXPECT_EQ(parsed, w);
     }
 }
@@ -77,16 +119,16 @@ TEST(Simd, WidthNameRoundTrips)
 TEST(Simd, EnvUnsetKeepsFallback)
 {
     SimdEnv env(nullptr);
-    EXPECT_EQ(simd::widthFromEnv(simd::Width::Scalar),
+    EXPECT_EQ(widthFromEnv(simd::Width::Scalar),
               simd::Width::Scalar);
-    EXPECT_EQ(simd::widthFromEnv(simd::Width::V512),
+    EXPECT_EQ(widthFromEnv(simd::Width::V512),
               simd::Width::V512);
 }
 
 TEST(Simd, EnvValidValueIsUsed)
 {
     SimdEnv env("v256");
-    EXPECT_EQ(simd::widthFromEnv(simd::Width::Scalar),
+    EXPECT_EQ(widthFromEnv(simd::Width::Scalar),
               simd::Width::V256);
 }
 
@@ -96,7 +138,7 @@ TEST(Simd, EnvInvalidValueWarnsAndKeepsFallback)
     // must never change behavior, only print a warning.
     for (const char *bad : {"avx2", "512", "v256 ", "fastest"}) {
         SimdEnv env(bad);
-        EXPECT_EQ(simd::widthFromEnv(simd::Width::V256),
+        EXPECT_EQ(widthFromEnv(simd::Width::V256),
                   simd::Width::V256)
             << "'" << bad << "'";
     }

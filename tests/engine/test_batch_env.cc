@@ -1,13 +1,13 @@
-/** @file NISQPP_BATCH environment validation: malformed lane counts
- * must warn and keep the previous setting, exactly like the
- * NISQPP_TRIALS multiplier. */
+/** @file NISQPP_BATCH environment validation through the knob table's
+ * env reader: malformed lane counts must warn and keep the previous
+ * setting, exactly like the NISQPP_TRIALS multiplier. */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
-#include "engine/sweep.hh"
+#include "engine/knobs.hh"
 
 namespace nisqpp {
 namespace {
@@ -41,80 +41,89 @@ class BatchEnv
     bool hadValue_ = false;
 };
 
+/** The lane count after the env reader runs over @p before. */
+std::size_t
+lanesAfterEnv(std::size_t before)
+{
+    CliArgs args;
+    args.options.batchLanes = before;
+    applyEnv(args, "");
+    return args.options.batchLanes;
+}
+
 TEST(BatchEnv, UnsetKeepsFallback)
 {
     BatchEnv env(nullptr);
-    EXPECT_EQ(batchLanesFromEnv(1), 1u);
-    EXPECT_EQ(batchLanesFromEnv(64), 64u);
+    EXPECT_EQ(lanesAfterEnv(1), 1u);
+    EXPECT_EQ(lanesAfterEnv(64), 64u);
 }
 
 TEST(BatchEnv, ValidValueIsUsed)
 {
     BatchEnv env("256");
-    EXPECT_EQ(batchLanesFromEnv(1), 256u);
+    EXPECT_EQ(lanesAfterEnv(1), 256u);
 }
 
 TEST(BatchEnv, OneIsValid)
 {
     BatchEnv env("1");
-    EXPECT_EQ(batchLanesFromEnv(64), 1u);
+    EXPECT_EQ(lanesAfterEnv(64), 1u);
 }
 
 TEST(BatchEnv, MaxIsValid)
 {
     BatchEnv env(std::to_string(kMaxBatchLanes).c_str());
-    EXPECT_EQ(batchLanesFromEnv(1), kMaxBatchLanes);
+    EXPECT_EQ(lanesAfterEnv(1), kMaxBatchLanes);
 }
 
 TEST(BatchEnv, ExponentNotationIsAcceptedWhenIntegral)
 {
-    // Parsed with strtod like NISQPP_TRIALS and the --batch flag, so
-    // integral exponent notation is uniformly accepted across all
-    // three entry points.
+    // The integer kind accepts integral exponent notation, so --batch
+    // and this twin agree on it.
     BatchEnv env("1e2");
-    EXPECT_EQ(batchLanesFromEnv(1), 100u);
+    EXPECT_EQ(lanesAfterEnv(1), 100u);
 }
 
 TEST(BatchEnv, ZeroRejectedKeepsPrevious)
 {
     BatchEnv env("0");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(lanesAfterEnv(32), 32u);
 }
 
 TEST(BatchEnv, NegativeRejectedKeepsPrevious)
 {
     BatchEnv env("-3");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(lanesAfterEnv(32), 32u);
 }
 
 TEST(BatchEnv, NonNumericRejectedKeepsPrevious)
 {
     BatchEnv env("lots");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(lanesAfterEnv(32), 32u);
 }
 
 TEST(BatchEnv, TrailingGarbageRejectedKeepsPrevious)
 {
     BatchEnv env("64x");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(lanesAfterEnv(32), 32u);
 }
 
 TEST(BatchEnv, FractionalRejectedKeepsPrevious)
 {
     BatchEnv env("3.5");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(lanesAfterEnv(32), 32u);
 }
 
 TEST(BatchEnv, AbsurdRejectedKeepsPrevious)
 {
     BatchEnv env("99999999");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(lanesAfterEnv(32), 32u);
 }
 
 TEST(BatchEnv, InfinityRejectedKeepsPrevious)
 {
     BatchEnv env("inf");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(lanesAfterEnv(32), 32u);
 }
 
 } // namespace

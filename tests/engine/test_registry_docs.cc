@@ -1,7 +1,8 @@
 /** @file Registry/README drift guard: the README scenario table must
  * carry every registered scenario's name and exact one-line
- * description (the same strings `nisqpp_run --list` prints), so docs
- * cannot silently drift from the code. */
+ * description (the same strings `nisqpp_run --list` prints), and the
+ * README flag table one row per knob-table row (the same help text
+ * `--help` prints), so docs cannot silently drift from the code. */
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "engine/knobs.hh"
 #include "engine/scenario.hh"
 
 #ifndef NISQPP_README_PATH
@@ -60,6 +62,41 @@ TEST(RegistryDocs, ReadmeTableCarriesEveryScenario)
         EXPECT_NE(readme.find(row), std::string::npos)
             << "README scenario table is missing or outdated for '"
             << s.name << "'; expected row:\n  " << row;
+    }
+}
+
+/** A code-span table cell, its pipes escaped for markdown. */
+std::string
+cell(const std::string &text)
+{
+    std::string out;
+    for (char c : text)
+        out += c == '|' ? std::string("\\|") : std::string(1, c);
+    return "`" + out + "`";
+}
+
+TEST(RegistryDocs, ReadmeTableCarriesEveryKnob)
+{
+    const std::string readme = readmeText();
+    for (const Knob &k : knobTable()) {
+        // The row "| flag | env twin | scope | help |"; "—" marks a
+        // knob without a flag or without an env twin.
+        const std::string meta = knob::meta(k.kind);
+        const std::string flag =
+            k.flag ? cell(k.flag + (meta.empty() ? "" : " " + meta))
+                   : "—";
+        const std::string env =
+            !k.env ? "—"
+            : k.key ? cell(std::string(k.env) + " " + k.key + "=" + meta)
+                    : cell(k.env);
+        const std::string scope = k.scenario   ? cell(k.scenario)
+                                  : k.runnerOnly ? cell("nisqpp_run")
+                                                 : "all";
+        const std::string row = "| " + flag + " | " + env + " | " +
+                                scope + " | " + normalized(k.help) + " |";
+        EXPECT_NE(readme.find(row), std::string::npos)
+            << "README flag table is missing or outdated for '"
+            << (k.flag ? k.flag : k.env) << "'; expected row:\n  " << row;
     }
 }
 

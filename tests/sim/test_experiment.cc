@@ -26,8 +26,8 @@ TEST(Experiment, SweepProducesCurves)
     config.physicalRates = {0.02, 0.06};
     config.stopRule = {300, 300, 1u << 30};
     const SweepResult result =
-        sweepLogicalError(config, meshDecoderFactory(
-                                      MeshConfig::finalDesign()));
+        Engine{EngineOptions{}}.runSweep(
+            config, meshDecoderFactory(MeshConfig::finalDesign()));
     ASSERT_EQ(result.curves.size(), 2u);
     EXPECT_EQ(result.curves[0].distance, 3);
     EXPECT_EQ(result.curves[1].distance, 5);
@@ -44,8 +44,8 @@ TEST(Experiment, SweepIsSeedDeterministic)
     config.physicalRates = {0.05};
     config.stopRule = {200, 200, 1u << 30};
     const auto factory = mwpmDecoderFactory();
-    const auto r1 = sweepLogicalError(config, factory);
-    const auto r2 = sweepLogicalError(config, factory);
+    const auto r1 = Engine{EngineOptions{}}.runSweep(config, factory);
+    const auto r2 = Engine{EngineOptions{}}.runSweep(config, factory);
     EXPECT_EQ(r1.curves[0].pl, r2.curves[0].pl);
 }
 
