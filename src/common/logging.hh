@@ -22,9 +22,6 @@ namespace nisqpp {
 /** Print "warn: <msg>" to stderr and continue. */
 void warn(const std::string &msg);
 
-/** Print "info: <msg>" to stderr and continue. */
-void inform(const std::string &msg);
-
 /**
  * Check an internal invariant; panics with location info when violated.
  *

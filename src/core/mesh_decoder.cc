@@ -424,17 +424,6 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     ++e.cycle;
 }
 
-Correction
-MeshDecoder::decode(const Syndrome &syndrome)
-{
-    Correction corr;
-    const Syndrome *syn = &syndrome;
-    Correction *out = &corr;
-    batchStats_.resize(1);
-    decodeLanes(scalar_, &syn, 1, &out, batchStats_.data());
-    return corr;
-}
-
 void
 MeshDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
 {

@@ -80,7 +80,7 @@ class MeshDecoder : public Decoder
     MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
                 const MeshConfig &config = MeshConfig::finalDesign());
 
-    Correction decode(const Syndrome &syndrome) override;
+    using Decoder::decode;
     void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
 
     /**

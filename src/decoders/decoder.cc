@@ -6,10 +6,12 @@
 
 namespace nisqpp {
 
-void
-Decoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
+Correction
+Decoder::decode(const Syndrome &syndrome)
 {
-    ws.correction = decode(syndrome);
+    TrialWorkspace ws;
+    decode(syndrome, ws);
+    return std::move(ws.correction);
 }
 
 void

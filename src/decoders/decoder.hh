@@ -61,17 +61,19 @@ class Decoder
     const SurfaceLattice &lattice() const { return *lattice_; }
     ErrorType type() const { return type_; }
 
-    /** Decode @p syndrome into a correction. */
-    virtual Correction decode(const Syndrome &syndrome) = 0;
+    /**
+     * Decode @p syndrome into @p ws.correction, borrowing every scratch
+     * buffer from @p ws so repeated decodes allocate nothing. Every
+     * decoder implements this; it is the one decode path.
+     */
+    virtual void decode(const Syndrome &syndrome, TrialWorkspace &ws) = 0;
 
     /**
-     * Workspace-aware overload: decode @p syndrome into
-     * @p ws.correction, borrowing every scratch buffer from @p ws so
-     * repeated decodes allocate nothing. Produces exactly the same
-     * correction as decode(syndrome); the default implementation
-     * forwards there for decoders without a tuned hot path.
+     * Convenience for one-off callers (examples, tests): decode into a
+     * fresh local workspace and return the correction. Allocates per
+     * call. Concrete decoders re-expose it with `using Decoder::decode`.
      */
-    virtual void decode(const Syndrome &syndrome, TrialWorkspace &ws);
+    virtual Correction decode(const Syndrome &syndrome);
 
     /**
      * Decode @p count independent syndromes into

@@ -8,16 +8,6 @@
 
 namespace nisqpp {
 
-Correction
-GreedyDecoder::decode(const Syndrome &syndrome)
-{
-    // Legacy allocation-per-call entry point; the engine loop passes a
-    // persistent per-thread workspace instead.
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
-}
-
 void
 GreedyDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
 {

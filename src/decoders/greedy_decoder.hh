@@ -23,7 +23,7 @@ class GreedyDecoder : public Decoder
         : Decoder(lattice, type)
     {}
 
-    Correction decode(const Syndrome &syndrome) override;
+    using Decoder::decode;
     void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
 
     /**

@@ -19,16 +19,6 @@ MwpmDecoder::exportMetrics(obs::MetricSet &out) const
     out.add("decoder.mwpm.correction_flips", correctionFlipsTotal_);
 }
 
-Correction
-MwpmDecoder::decode(const Syndrome &syndrome)
-{
-    // Legacy allocation-per-call entry point; the engine loop passes a
-    // persistent per-thread workspace instead.
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
-}
-
 void
 MwpmDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
 {

@@ -25,7 +25,7 @@ class MwpmDecoder : public Decoder
         : Decoder(lattice, type)
     {}
 
-    Correction decode(const Syndrome &syndrome) override;
+    using Decoder::decode;
     void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
 
     /**

@@ -111,14 +111,6 @@ TieredDecoder::escalateIfNeeded(const Syndrome &syndrome,
     finishEscalation(ts);
 }
 
-Correction
-TieredDecoder::decode(const Syndrome &syndrome)
-{
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return ws.correction;
-}
-
 void
 TieredDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
 {

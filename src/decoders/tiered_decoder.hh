@@ -50,7 +50,7 @@ class TieredDecoder : public Decoder
                   std::unique_ptr<MeshDecoder> mesh,
                   std::unique_ptr<Decoder> exact, double threshold);
 
-    Correction decode(const Syndrome &syndrome) override;
+    using Decoder::decode;
     void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
 
     /**

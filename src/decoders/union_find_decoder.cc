@@ -102,16 +102,6 @@ UnionFindDecoder::windowGraph(int rounds)
     return windowGraph_;
 }
 
-Correction
-UnionFindDecoder::decode(const Syndrome &syndrome)
-{
-    // Legacy allocation-per-call entry point; the engine loop passes a
-    // persistent per-thread workspace instead.
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
-}
-
 void
 UnionFindDecoder::noteDecode(const Correction &corr)
 {

@@ -53,7 +53,7 @@ class UnionFindDecoder : public Decoder
   public:
     UnionFindDecoder(const SurfaceLattice &lattice, ErrorType type);
 
-    Correction decode(const Syndrome &syndrome) override;
+    using Decoder::decode;
     void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
 
     /**

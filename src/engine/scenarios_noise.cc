@@ -131,8 +131,8 @@ noiseZoo(ScenarioContext &ctx)
              "decodeWindow strategy (spacetime matching vs "
              "round-majority fallback); biased noise (eta = 10) "
              "behaves between dephasing and depolarizing, and the "
-             "erasure channel marks erased qubits for future "
-             "erasure-aware decoding.");
+             "erasure channel kicks each erased qubit into a uniformly "
+             "random Pauli.");
 }
 
 } // namespace scenarios

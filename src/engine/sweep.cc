@@ -77,7 +77,7 @@ runShard(const CellSpec &spec, const Shard &shard)
     if (model->producesX())
         x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
     LifetimeSimulator sim(*spec.lattice, *model, *z_dec, x_dec.get(),
-                          shard.seed, spec.throughCircuits, &workspace);
+                          shard.seed, &workspace);
     sim.setLifetimeMode(spec.lifetimeMode);
     sim.setBatchLanes(spec.batchLanes);
     sim.setMeasurementWindow(spec.windowRounds);
@@ -300,7 +300,7 @@ describeCell(const CellSpec &spec, std::size_t shardCount)
        << " eta=" << ckpt::hexBits(spec.noise.eta)
        << " q=" << ckpt::hexBits(spec.noise.q)
        << " window=" << spec.windowRounds
-       << " circuits=" << (spec.throughCircuits ? 1 : 0)
+       << " circuits=0" // fixed token: keeps older ledgers resumable
        << " lifetime=" << (spec.lifetimeMode ? 1 : 0)
        << " rule=" << spec.rule.minTrials << '/' << spec.rule.maxTrials
        << '/' << spec.rule.targetFailures << " seed=" << spec.seed
@@ -556,7 +556,6 @@ Engine::runSweep(const SweepConfig &config, const DecoderFactory &factory)
             spec.physicalRate = p;
             spec.noise = config.noise;
             spec.windowRounds = config.windowRounds;
-            spec.throughCircuits = config.throughCircuits;
             spec.lifetimeMode = config.lifetimeMode;
             spec.rule = config.stopRule;
             Rng child = master.split();

@@ -64,7 +64,6 @@ struct SweepConfig
      * noise.q > 0.
      */
     int windowRounds = 0;
-    bool throughCircuits = false;
     bool lifetimeMode = false; ///< the paper's persistent-state protocol
     StopRule stopRule{};
     std::uint64_t seed = 0x5150f00dULL;
@@ -115,7 +114,6 @@ struct CellSpec
     double physicalRate = 0.0;
     NoiseSpec noise{};    ///< channel kind + eta + measurement q
     int windowRounds = 0; ///< noisy rounds per decode window; 0 = off
-    bool throughCircuits = false;
     bool lifetimeMode = false;
     StopRule rule{};          ///< already env/flag scaled by the caller
     std::uint64_t seed = 0;   ///< cell master seed

@@ -92,16 +92,13 @@ void
 ErasureChannel::sampleInto(Rng &rng, ErrorState &state) const
 {
     const int n = state.lattice().numData();
-    if (marks_.size() != static_cast<std::size_t>(n))
-        marks_.resize(n);
     if (p_ <= 0.0)
         return; // bernoulli(p <= 0) consumes no draw; neither may we
     for (int q = 0; q < n; ++q) {
         if (p_ < 1.0 && !rng.coin(thresh_))
             continue;
-        marks_.set(q, true);
         switch (rng.uniformInt(4)) {
-          case 0: break; // erased into I: marked, no Pauli kick
+          case 0: break; // erased into I: no Pauli kick
           case 1: state.inject(q, Pauli::X); break;
           case 2: state.inject(q, Pauli::Y); break;
           default: state.inject(q, Pauli::Z); break;

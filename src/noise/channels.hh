@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "common/packed_bits.hh"
 #include "common/rng.hh"
 #include "surface/error_state.hh"
 
@@ -99,13 +98,9 @@ class BiasedEtaChannel : public NoiseChannel
 };
 
 /**
- * Erasure-marking channel: with probability p a data qubit is erased —
- * replaced by a uniformly random Pauli from {I, X, Y, Z} — and its
- * location is flagged in a per-round mark plane that erasure-aware
- * decoders can consume. Marks accumulate across sampleInto calls until
- * clearMarks(); the mark buffer is per-channel-instance state, so one
- * instance must not be shared across threads (every engine shard
- * builds its own model).
+ * Erasure channel: with probability p a data qubit is erased —
+ * replaced by a uniformly random Pauli from {I, X, Y, Z}. Decoders see
+ * only the resulting syndrome, not the erased locations.
  */
 class ErasureChannel : public NoiseChannel
 {
@@ -117,14 +112,9 @@ class ErasureChannel : public NoiseChannel
     std::string name() const override { return "erasure"; }
     bool producesX() const override { return true; }
 
-    /** Marked locations since the last clearMarks (empty before use). */
-    const PackedBits &marks() const { return marks_; }
-    void clearMarks() const { marks_.clear(); }
-
   private:
     double p_;
     std::uint64_t thresh_; ///< Rng::threshold(p), hot-loop coin
-    mutable PackedBits marks_;
 };
 
 /**

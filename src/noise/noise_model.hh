@@ -27,7 +27,7 @@ enum class NoiseKind : unsigned char
     Dephasing,    ///< Z with probability p (the paper's headline)
     Depolarizing, ///< X, Y, Z each with probability p/3
     Biased,       ///< bias-eta Pauli channel
-    Erasure,      ///< erasure-marking channel
+    Erasure,      ///< random-Pauli erasure channel
 };
 
 /**

@@ -75,14 +75,11 @@ LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      const ErrorModel &model,
                                      Decoder &zDecoder, Decoder *xDecoder,
                                      std::uint64_t seed,
-                                     bool throughCircuits,
                                      TrialWorkspace *workspace)
     : lattice_(lattice), model_(model), zDecoder_(zDecoder),
-      xDecoder_(xDecoder), rng_(seed), throughCircuits_(throughCircuits),
+      xDecoder_(xDecoder), rng_(seed),
       noisyReadout_(model.measurementFlipRate() > 0.0), ws_(workspace)
 {
-    if (throughCircuits_)
-        circuit_ = std::make_unique<StabilizerCircuit>(lattice);
     require(zDecoder.type() == ErrorType::Z,
             "LifetimeSimulator: zDecoder must decode Z errors");
     if (xDecoder_)
@@ -119,16 +116,6 @@ LifetimeSimulator::recordMeshStats(const MeshDecodeStats *stats,
     acc.cycles.add(stats->cycles);
     if (acc.cycleHistogram.numBins() > 1)
         acc.cycleHistogram.add(static_cast<std::size_t>(stats->cycles));
-}
-
-void
-LifetimeSimulator::extractInto(const ErrorState &state, ErrorType type,
-                               Syndrome &out)
-{
-    if (throughCircuits_)
-        circuit_->extractInto(state, type, out);
-    else
-        extractSyndromeInto(state, type, out);
 }
 
 void
@@ -173,19 +160,19 @@ LifetimeSimulator::fillWindow(std::size_t l)
         winX_[l].reset();
     for (int t = 0; t < windowRounds_; ++t) {
         model_.sample(rng_, state);
-        extractInto(state, ErrorType::Z, synZ_[l]);
+        extractSyndromeInto(state, ErrorType::Z, synZ_[l]);
         model_.flipMeasurements(rng_, synZ_[l]);
         winZ_[l].recordRound(t, synZ_[l]);
         if (xDecoder_) {
-            extractInto(state, ErrorType::X, synX_[l]);
+            extractSyndromeInto(state, ErrorType::X, synX_[l]);
             model_.flipMeasurements(rng_, synX_[l]);
             winX_[l].recordRound(t, synX_[l]);
         }
     }
-    extractInto(state, ErrorType::Z, synZ_[l]);
+    extractSyndromeInto(state, ErrorType::Z, synZ_[l]);
     winZ_[l].recordRound(windowRounds_, synZ_[l]);
     if (xDecoder_) {
-        extractInto(state, ErrorType::X, synX_[l]);
+        extractSyndromeInto(state, ErrorType::X, synX_[l]);
         winX_[l].recordRound(windowRounds_, synX_[l]);
     }
 }
@@ -206,7 +193,7 @@ LifetimeSimulator::decodeFamily(ErrorType type, Decoder &decoder,
     if (!windowed) {
         obs::TraceSpan span(obs::Stage::Extract);
         for (std::size_t l = 0; l < count; ++l)
-            extractInto(states_[l], type, syn[l]);
+            extractSyndromeInto(states_[l], type, syn[l]);
     }
     {
         obs::TraceSpan span(obs::Stage::Decode);

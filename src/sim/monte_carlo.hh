@@ -22,7 +22,6 @@
 #include "obs/metrics.hh"
 #include "surface/error_model.hh"
 #include "surface/logical.hh"
-#include "surface/stabilizer_circuit.hh"
 #include "surface/syndrome_window.hh"
 
 namespace nisqpp {
@@ -127,15 +126,12 @@ class LifetimeSimulator
      * @param xDecoder Decoder for X data errors; may be null when the
      *                 channel produces no X component (pure dephasing).
      * @param seed     Master RNG seed (deterministic reproduction).
-     * @param throughCircuits Extract syndromes by running the Fig. 3
-     *                 stabilizer circuits instead of direct parity.
      * @param workspace Scratch shared with other simulators on the
      *                 same thread; null = allocate a private one.
      */
     LifetimeSimulator(const SurfaceLattice &lattice,
                       const ErrorModel &model, Decoder &zDecoder,
                       Decoder *xDecoder, std::uint64_t seed,
-                      bool throughCircuits = false,
                       TrialWorkspace *workspace = nullptr);
 
     ~LifetimeSimulator();
@@ -194,20 +190,15 @@ class LifetimeSimulator
                       MonteCarloResult &acc);
     void recordMeshStats(const MeshDecodeStats *stats,
                          MonteCarloResult &acc) const;
-    void extractInto(const ErrorState &state, ErrorType type,
-                     Syndrome &out);
 
     const SurfaceLattice &lattice_;
     const ErrorModel &model_;
     Decoder &zDecoder_;
     Decoder *xDecoder_;
     Rng rng_;
-    bool throughCircuits_;
     bool lifetimeMode_ = false;
     /** model_.measurementFlipRate() > 0, cached off the hot path. */
     bool noisyReadout_ = false;
-    /** Built only for circuit-based extraction (it is not cheap). */
-    std::unique_ptr<StabilizerCircuit> circuit_;
     std::size_t batchLanes_ = 1;
     int windowRounds_ = 0; ///< noisy rounds per window; 0 = off
     /**

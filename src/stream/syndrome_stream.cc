@@ -20,7 +20,6 @@ SyndromeStream::emit()
     model_.sample(rng_, state_);
     extractSyndromeInto(state_, type_, syndrome_);
     model_.flipMeasurements(rng_, syndrome_);
-    ++rounds_;
     return syndrome_;
 }
 

@@ -60,17 +60,6 @@ class SyndromeStream
      */
     void extractPerfectInto(Syndrome &out) const;
 
-    /** Rounds emitted so far. */
-    std::size_t roundsEmitted() const { return rounds_; }
-
-    /** Simulated clock of the most recent emission. */
-    double
-    lastEmitNs() const
-    {
-        return rounds_ == 0 ? 0.0
-                            : static_cast<double>(rounds_ - 1) * cycleNs_;
-    }
-
     double cycleNs() const { return cycleNs_; }
     ErrorType type() const { return type_; }
 
@@ -91,7 +80,6 @@ class SyndromeStream
     double cycleNs_;
     ErrorState state_;
     Syndrome syndrome_;
-    std::size_t rounds_ = 0;
 };
 
 } // namespace nisqpp

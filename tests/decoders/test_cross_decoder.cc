@@ -9,9 +9,9 @@
 
 #include "common/rng.hh"
 #include "decoders/greedy_decoder.hh"
-#include "decoders/lut_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/union_find_decoder.hh"
+#include "support/lut_decoder.hh"
 #include "surface/error_model.hh"
 #include "surface/logical.hh"
 

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "decoders/lut_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
+#include "support/lut_decoder.hh"
 #include "surface/error_model.hh"
 #include "surface/logical.hh"
 

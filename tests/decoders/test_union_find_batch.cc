@@ -2,7 +2,7 @@
  * @file
  * Lane-packed batch union-find pinned bit-exact against the scalar
  * reference: for every distance the experiments sweep, every noise
- * channel (including erasure marks) and every SIMD dispatch width,
+ * channel (including erasure) and every SIMD dispatch width,
  * decodeBatch() / decodeWindowBatch() must emit corrections AND
  * decoder.uf.* telemetry byte-identical to one-at-a-time scalar
  * decodes of the same syndromes — across chunk boundaries, weight-0
@@ -199,9 +199,9 @@ TEST(UnionFindBatch, HeavySyndromesAndRepeatedBatches)
 
 TEST(UnionFindBatch, ErasureMarkedLatticeStillMatches)
 {
-    // The erasure channel flags marked qubits while injecting random
-    // Paulis; the decoder consumes only the syndrome, but the marked
-    // error states exercise Y components (X and Z simultaneously).
+    // The erasure channel injects uniformly random Paulis on erased
+    // qubits, so its error states exercise Y components (X and Z
+    // simultaneously).
     Rng rng(0x5eedULL);
     for (simd::Width w : kWidths) {
         WidthGuard guard(w);
@@ -213,12 +213,10 @@ TEST(UnionFindBatch, ErasureMarkedLatticeStillMatches)
                 UnionFindDecoder batched(lat, type);
                 const auto syns =
                     sampleSyndromes(lat, channel, type, 40, rng);
-                EXPECT_GT(channel.marks().popcount(), 0);
                 expectBatchMatchesScalar(
                     scalar, batched, syns,
                     "erasure d=" + std::to_string(d));
             }
-            channel.clearMarks();
         }
     }
 }

@@ -2,10 +2,10 @@
  * @file Workspace property tests: for every decoder family, decoding
  * through one long-lived TrialWorkspace (buffers dirty from *other*
  * decoders, distances and error types) must produce exactly the same
- * corrections as the workspace-free decode() entry point, across
- * lattices d = 3..11 and many random syndromes. Also pins the
- * frontier-scan union-find growth to a retained reference
- * implementation of the original whole-graph scan.
+ * corrections as the allocating decode() entry point (a fresh
+ * workspace per call), across lattices d = 3..11 and many random
+ * syndromes. Also pins the frontier-scan union-find growth to a
+ * retained reference implementation of the original whole-graph scan.
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +18,10 @@
 #include "common/rng.hh"
 #include "core/mesh_decoder.hh"
 #include "decoders/greedy_decoder.hh"
-#include "decoders/lut_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"
+#include "support/lut_decoder.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 
@@ -259,22 +259,21 @@ TEST(Workspace, ReusedWorkspaceMatchesWorkspaceFreeDecodes)
     }
 }
 
-TEST(Workspace, DefaultOverloadForwardsToPlainDecode)
+TEST(Workspace, PlainDecodeForwardsToWorkspaceOverload)
 {
-    // A decoder that does not override the workspace overload must
-    // still fill ws.correction via the base-class forwarding.
+    // A decoder that implements only the workspace overload still
+    // answers the allocating decode(syndrome) via the base class.
     class Doubler : public Decoder
     {
       public:
         using Decoder::Decoder;
         using Decoder::decode;
-        Correction
-        decode(const Syndrome &syndrome) override
+        void
+        decode(const Syndrome &syndrome, TrialWorkspace &ws) override
         {
-            Correction corr;
+            ws.correction.clear();
             syndrome.forEachHot(
-                [&corr](int a) { corr.dataFlips.push_back(a); });
-            return corr;
+                [&ws](int a) { ws.correction.dataFlips.push_back(a); });
         }
         std::string name() const override { return "doubler"; }
     };
@@ -284,10 +283,7 @@ TEST(Workspace, DefaultOverloadForwardsToPlainDecode)
     Syndrome syn(lat, ErrorType::Z);
     syn.set(1, true);
     syn.set(4, true);
-    TrialWorkspace ws;
-    ws.correction.dataFlips = {9, 9, 9}; // stale junk must vanish
-    decoder.decode(syn, ws);
-    EXPECT_EQ(ws.correction.dataFlips, (std::vector<int>{1, 4}));
+    EXPECT_EQ(decoder.decode(syn).dataFlips, (std::vector<int>{1, 4}));
 }
 
 TEST(Workspace, CorrectionsClearTheirSyndrome)

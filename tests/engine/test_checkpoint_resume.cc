@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "ckpt/checkpoint.hh"
@@ -188,6 +189,42 @@ TEST(CheckpointResume, ConfigMismatchIsAHardError)
                   std::string::npos)
             << e.what();
     }
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, LedgerConfigTextIsPinned)
+{
+    // A resume matches ledgers by this exact text, so any change to
+    // describeCell's format orphans every ledger already on disk. The
+    // literal includes the fixed " circuits=0" token.
+    CkptStateGuard guard;
+    SweepConfig config;
+    config.distances = {3};
+    config.physicalRates = {0.03};
+    config.lifetimeMode = true;
+    config.stopRule = {64, 64, 1u << 30};
+    config.seed = 0xfeedULL;
+
+    EngineOptions options;
+    options.shardTrials = 64;
+    const std::string path = ckptPath("pinned.ckpt");
+    std::remove(path.c_str());
+    ckpt::CheckpointPolicy policy;
+    policy.path = path;
+    Engine engine(options);
+    engine.setCheckpointPolicy(policy);
+    engine.runSweep(config, meshDecoderFactory(MeshConfig::finalDesign()));
+
+    std::ifstream in(path);
+    std::string line, configLine;
+    while (std::getline(in, line))
+        if (line.rfind("config ", 0) == 0)
+            configLine = line;
+    EXPECT_EQ(configLine,
+              "config shardTrials=64 cells=1 | d=3 p=3f9eb851eb851eb8 "
+              "noise=dephasing eta=4024000000000000 "
+              "q=0000000000000000 window=0 circuits=0 lifetime=1 "
+              "rule=64/64/1073741824 seed=15968248254638846696 shards=1");
     std::remove(path.c_str());
 }
 

@@ -133,19 +133,6 @@ TEST(ChannelStats, ErasureChannel)
     expectWithinFiveSigma(c.x, c.samples, p / 4, "erasure X");
     expectWithinFiveSigma(c.y, c.samples, p / 4, "erasure Y");
     expectWithinFiveSigma(c.z, c.samples, p / 4, "erasure Z");
-
-    // Mark rate: every erased qubit is flagged, Pauli or not.
-    Rng rng(0xd6);
-    ErrorState state(lat);
-    long long marks = 0, samples = 0;
-    while (samples < kMinSamples) {
-        state.clear();
-        channel->clearMarks();
-        model.sample(rng, state);
-        marks += channel->marks().popcount();
-        samples += lat.numData();
-    }
-    expectWithinFiveSigma(marks, samples, p, "erasure marks");
 }
 
 TEST(ChannelStats, MeasurementFlipChannel)

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pauli/pauli_frame.hh"
+#include "support/pauli_frame.hh"
 
 namespace nisqpp {
 namespace {

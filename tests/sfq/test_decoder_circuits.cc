@@ -11,8 +11,8 @@
 
 #include "core/module_logic.hh"
 #include "sfq/decoder_circuits.hh"
-#include "sfq/netlist_sim.hh"
 #include "sfq/path_balance.hh"
+#include "support/netlist_sim.hh"
 
 namespace nisqpp {
 namespace {

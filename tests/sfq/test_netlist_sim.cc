@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sfq/netlist_sim.hh"
 #include "sfq/path_balance.hh"
+#include "support/netlist_sim.hh"
 
 namespace nisqpp {
 namespace {

@@ -1,4 +1,4 @@
-#include "decoders/lut_decoder.hh"
+#include "support/lut_decoder.hh"
 
 #include <bit>
 
@@ -48,14 +48,6 @@ LutDecoder::syndromeKey(const Syndrome &syndrome) const
     for (int a = 0; a < syndrome.size(); ++a)
         key |= static_cast<std::uint32_t>(syndrome.hot(a) ? 1u : 0u) << a;
     return key;
-}
-
-Correction
-LutDecoder::decode(const Syndrome &syndrome)
-{
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
 }
 
 void

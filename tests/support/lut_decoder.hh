@@ -4,12 +4,12 @@
  * syndrome it precomputes a minimum-weight correction by brute force over
  * all error patterns, which upper-bounds the accuracy of any trained
  * inference decoder on the same inputs. It stands in for the neural
- * network decoder baseline [6] whose artifacts are not public (see
- * DESIGN.md, substitutions).
+ * network decoder baseline [6] whose artifacts are not public. Test
+ * support: the tests use it as the exact minimum-weight oracle at d = 3.
  */
 
-#ifndef NISQPP_DECODERS_LUT_DECODER_HH
-#define NISQPP_DECODERS_LUT_DECODER_HH
+#ifndef NISQPP_TESTS_SUPPORT_LUT_DECODER_HH
+#define NISQPP_TESTS_SUPPORT_LUT_DECODER_HH
 
 #include <cstdint>
 
@@ -27,7 +27,7 @@ class LutDecoder : public Decoder
   public:
     LutDecoder(const SurfaceLattice &lattice, ErrorType type);
 
-    Correction decode(const Syndrome &syndrome) override;
+    using Decoder::decode;
     void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
 
     std::string name() const override { return "lut"; }
@@ -43,4 +43,4 @@ class LutDecoder : public Decoder
 
 } // namespace nisqpp
 
-#endif // NISQPP_DECODERS_LUT_DECODER_HH
+#endif // NISQPP_TESTS_SUPPORT_LUT_DECODER_HH

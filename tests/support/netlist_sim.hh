@@ -1,16 +1,17 @@
 /**
  * @file
- * Clocked functional simulation of SFQ netlists — the repository's
- * stand-in for the JSIM verification step of paper Section VII. Every
- * cell (gate or DFF) registers its output each clock, matching the
- * "signals advance one gate per cycle" behavior of clocked dc-biased
- * SFQ logic; a fully path-balanced pipeline of depth D therefore
- * reproduces its combinational function with D cycles of latency, which
- * the equivalence tests against the behavioral module logic exploit.
+ * Clocked functional simulation of SFQ netlists (test support) — the
+ * repository's stand-in for the JSIM verification step of paper
+ * Section VII. Every cell (gate or DFF) registers its output each
+ * clock, matching the "signals advance one gate per cycle" behavior of
+ * clocked dc-biased SFQ logic; a fully path-balanced pipeline of depth
+ * D therefore reproduces its combinational function with D cycles of
+ * latency, which the equivalence tests against the behavioral module
+ * logic exploit.
  */
 
-#ifndef NISQPP_SFQ_NETLIST_SIM_HH
-#define NISQPP_SFQ_NETLIST_SIM_HH
+#ifndef NISQPP_TESTS_SUPPORT_NETLIST_SIM_HH
+#define NISQPP_TESTS_SUPPORT_NETLIST_SIM_HH
 
 #include <map>
 #include <string>
@@ -56,4 +57,4 @@ class NetlistSim
 
 } // namespace nisqpp
 
-#endif // NISQPP_SFQ_NETLIST_SIM_HH
+#endif // NISQPP_TESTS_SUPPORT_NETLIST_SIM_HH

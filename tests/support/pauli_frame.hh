@@ -1,18 +1,17 @@
 /**
  * @file
- * Pauli-frame simulator for Clifford circuits.
+ * Pauli-frame simulator for Clifford circuits (test support).
  *
  * The stabilizer circuits of paper Fig. 3 are Clifford circuits; Pauli
  * errors injected anywhere propagate through them by conjugation. Tracking
- * only the Pauli frame (one X bit and one Z bit per qubit, word-packed)
- * reproduces the measurement-outcome *flips* relative to the noiseless
- * run, which is all the error-correction substrate needs, in O(1) per
- * gate — and lets mask-based consumers (the stabilizer circuit's
- * measurement gather) reduce whole planes with AND/popcount.
+ * only the Pauli frame (one X bit and one Z bit per qubit) reproduces the
+ * measurement-outcome *flips* relative to the noiseless run, in O(1) per
+ * gate. The tests use it to walk the stabilizer schedule gate by gate as
+ * an oracle for the library's direct parity extraction.
  */
 
-#ifndef NISQPP_PAULI_PAULI_FRAME_HH
-#define NISQPP_PAULI_PAULI_FRAME_HH
+#ifndef NISQPP_TESTS_SUPPORT_PAULI_FRAME_HH
+#define NISQPP_TESTS_SUPPORT_PAULI_FRAME_HH
 
 #include <cstddef>
 
@@ -56,19 +55,6 @@ class PauliFrame
     /** Whether the frame on @p q has a Z component. */
     bool zBit(std::size_t q) const { return z_.get(q); }
 
-    /** Word-packed planes, for mask-based gathers. @{ */
-    const PackedBits &xPlane() const { return x_; }
-    const PackedBits &zPlane() const { return z_; }
-    /** @} */
-
-    /** Clear both components on every qubit set in @p mask. */
-    void
-    clearMasked(const PackedBits &mask)
-    {
-        x_.andNotWith(mask);
-        z_.andNotWith(mask);
-    }
-
     /** @name Clifford gate conjugations @{ */
     void applyH(std::size_t q);
     void applyS(std::size_t q);
@@ -100,4 +86,4 @@ class PauliFrame
 
 } // namespace nisqpp
 
-#endif // NISQPP_PAULI_PAULI_FRAME_HH
+#endif // NISQPP_TESTS_SUPPORT_PAULI_FRAME_HH

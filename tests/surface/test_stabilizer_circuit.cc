@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "support/stabilizer_circuit.hh"
 #include "surface/error_model.hh"
-#include "surface/stabilizer_circuit.hh"
 
 namespace nisqpp {
 namespace {
