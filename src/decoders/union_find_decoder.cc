@@ -127,38 +127,18 @@ UnionFindDecoder::exportMetrics(obs::MetricSet &out) const
 void
 UnionFindDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
 {
-    ws.correction.clear();
-    lastRounds_ = 0;
-    if (syndrome.weight() == 0) {
-        noteDecode(ws.correction);
-        return;
-    }
-    ws.ufSeeds.clear();
-    syndrome.forEachHot(
-        [&ws](int a) { ws.ufSeeds.push_back(a); });
-    decodeOnGraph(graph_, ws.ufSeeds, 4 * lattice().gridSize() + 8, ws);
-    noteDecode(ws.correction);
+    // The scalar path is the lane engine at one lane, decoding
+    // straight into ws.correction (callers may hold live lane buffers).
+    const Syndrome *one = &syndrome;
+    runBatch(engine64_, &one, 1, &ws.correction);
 }
 
 void
 UnionFindDecoder::decodeWindow(const SyndromeWindow &window,
                                TrialWorkspace &ws)
 {
-    ws.correction.clear();
-    lastRounds_ = 0;
-    ++windowDecodes_;
-    if (window.eventWeight() == 0) {
-        noteDecode(ws.correction);
-        return;
-    }
-    const int na = window.numAncilla();
-    ws.ufSeeds.clear();
-    window.forEachEvent([&ws, na](int t, int a) {
-        ws.ufSeeds.push_back(t * na + a);
-    });
-    decodeOnGraph(windowGraph(window.rounds()), ws.ufSeeds,
-                  4 * (lattice().gridSize() + window.rounds()) + 8, ws);
-    noteDecode(ws.correction);
+    const SyndromeWindow *one = &window;
+    runWindowBatch(engine64_, &one, 1, &ws.correction);
 }
 
 void
@@ -169,17 +149,16 @@ UnionFindDecoder::decodeBatch(const Syndrome *const *syndromes,
         return;
     if (ws.laneCorrections.size() < count)
         ws.laneCorrections.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        ws.laneCorrections[i].clear();
+    Correction *outs = ws.laneCorrections.data();
     switch (width_) {
       case simd::Width::Scalar:
-        runBatch(engine64_, syndromes, count, ws);
+        runBatch(engine64_, syndromes, count, outs);
         break;
       case simd::Width::V256:
-        runBatch(engine256_, syndromes, count, ws);
+        runBatch(engine256_, syndromes, count, outs);
         break;
       case simd::Width::V512:
-        runBatch(engine512_, syndromes, count, ws);
+        runBatch(engine512_, syndromes, count, outs);
         break;
     }
 }
@@ -191,9 +170,9 @@ UnionFindDecoder::decodeWindowBatch(const SyndromeWindow *const *windows,
 {
     if (count == 0)
         return;
-    // The lane-packed engine shares one spacetime graph per chunk;
-    // mixed round counts (no caller produces them today) take the
-    // scalar fallback rather than juggling graphs mid-chunk.
+    // A chunk shares one spacetime graph, so mixed round counts (no
+    // caller produces them today) decode one window at a time through
+    // the base-class loop — the same engine at one lane.
     for (std::size_t i = 1; i < count; ++i)
         if (windows[i]->rounds() != windows[0]->rounds()) {
             Decoder::decodeWindowBatch(windows, count, ws);
@@ -201,17 +180,16 @@ UnionFindDecoder::decodeWindowBatch(const SyndromeWindow *const *windows,
         }
     if (ws.laneCorrections.size() < count)
         ws.laneCorrections.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        ws.laneCorrections[i].clear();
+    Correction *outs = ws.laneCorrections.data();
     switch (width_) {
       case simd::Width::Scalar:
-        runWindowBatch(engine64_, windows, count, ws);
+        runWindowBatch(engine64_, windows, count, outs);
         break;
       case simd::Width::V256:
-        runWindowBatch(engine256_, windows, count, ws);
+        runWindowBatch(engine256_, windows, count, outs);
         break;
       case simd::Width::V512:
-        runWindowBatch(engine512_, windows, count, ws);
+        runWindowBatch(engine512_, windows, count, outs);
         break;
     }
 }
@@ -220,7 +198,7 @@ template <typename W>
 void
 UnionFindDecoder::runBatch(BatchEngine<W> &e,
                            const Syndrome *const *syndromes,
-                           std::size_t count, TrialWorkspace &ws)
+                           std::size_t count, Correction *outs)
 {
     const int growthBound = 4 * lattice().gridSize() + 8;
     for (std::size_t base = 0; base < count;
@@ -234,7 +212,7 @@ UnionFindDecoder::runBatch(BatchEngine<W> &e,
             syndromes[base + l]->forEachHot(
                 [&cand](int a) { cand.push_back(a); });
         }
-        runChunk(graph_, growthBound, e, base, lanes, ws);
+        runChunk(graph_, growthBound, e, lanes, outs + base);
     }
 }
 
@@ -242,7 +220,7 @@ template <typename W>
 void
 UnionFindDecoder::runWindowBatch(BatchEngine<W> &e,
                                  const SyndromeWindow *const *windows,
-                                 std::size_t count, TrialWorkspace &ws)
+                                 std::size_t count, Correction *outs)
 {
     const int rounds = windows[0]->rounds();
     const int na = windows[0]->numAncilla();
@@ -261,7 +239,7 @@ UnionFindDecoder::runWindowBatch(BatchEngine<W> &e,
                 cand.push_back(t * na + a);
             });
         }
-        runChunk(graph, growthBound, e, base, lanes, ws);
+        runChunk(graph, growthBound, e, lanes, outs + base);
     }
 }
 
@@ -359,8 +337,8 @@ UnionFindDecoder::ensureEngine(BatchEngine<W> &e, const Graph &graph,
 template <typename W>
 void
 UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
-                           BatchEngine<W> &e, std::size_t base,
-                           std::size_t lanes, TrialWorkspace &ws)
+                           BatchEngine<W> &e, std::size_t lanes,
+                           Correction *outs)
 {
     const auto &edges = graph.edges;
     const int *incOff = e.incOff.data();
@@ -396,14 +374,13 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
     // word-parallel sweep over the edges incident to this round's
     // active vertices (no other edge's support can change) saturates
     // support for all lanes at once — new1 = s1 | act, new2 =
-    // s2 | (s1 & act) | (act_u & act_v) reproduces the scalar
-    // half-edge increments including both-endpoint same-round
+    // s2 | (s1 & act) | (act_u & act_v) is Delfosse & Nickerson's
+    // half-edge increment including both-endpoint same-round
     // completion and saturation at 2; (c) lanes whose planes changed
     // (delta) count a growth round and union their newly grown edges
     // in ascending edge order — the cluster partition, parities,
-    // boundary flags and support are union-order-independent, so the
-    // divergence from the scalar decoder's grown order is
-    // unobservable.
+    // boundary flags and support are union-order-independent, so no
+    // other union order could yield a different decode.
     //
     // Rank-based union can hand the merged cluster to a previously
     // virgin (unlisted, rank-0) vertex when both sides have rank 0, so
@@ -497,7 +474,7 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
             const std::uint64_t bit = std::uint64_t{1} << (l % 64);
             if (!(simd::elemOf(deltaAny, el) & bit)) {
                 // No support change anywhere: the lane's clusters are
-                // all even or boundary-tied (scalar's !any_active).
+                // all even or boundary-tied: growth is over.
                 e.finished[l] = 1;
                 continue;
             }
@@ -553,8 +530,9 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
         }
     }
 
-    // Peel each lane with the scalar decoder's exact forest walk,
-    // reading support from the s2 bit-plane, then restore the lane's
+    // Peel each lane: a BFS forest over its grown (support-2) edges,
+    // rooted at boundary vertices first, walked leaves-inward flipping
+    // the tree edge below every hot vertex. Then restore the lane's
     // union-find slice by rewinding only the erasure vertices — the
     // complete set of state a trial dirtied (the erasure bitset
     // collects every seed and every grown edge endpoint). The peel
@@ -564,7 +542,8 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
     // reset walks just the erasure, and the arrays stay resident in
     // L1.
     for (std::size_t l = 0; l < lanes; ++l) {
-        Correction &out = ws.laneCorrections[base + l];
+        Correction &out = outs[l];
+        out.clear();
         auto &cand = e.candidates[l];
         int *parentL = e.parent.data() + l * V;
         unsigned char *metaL = e.meta.data() + l * V;
@@ -579,8 +558,8 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
 
         // Scan (and rezero) the lane's erasure bitset: bit order IS
         // ascending vertex order, so forest roots are chosen in the
-        // same order as the scalar decoder's whole-graph scan with no
-        // dedup pass or sort.
+        // same order as a whole-graph scan would, with no dedup pass
+        // or sort.
         auto &erasure = e.erasure;
         erasure.clear();
         std::uint64_t *ebL = e.laneErasure.data() + l * e.eraseWords;
@@ -657,8 +636,8 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
 
         // One pass over the erasure: check that every interior vertex
         // drained (boundary vertices absorb anything left; hot never
-        // leaves the erasure, so this is equivalent to the scalar
-        // whole-graph check), then restore the lane's invariant and
+        // leaves the erasure, so this is equivalent to a whole-graph
+        // check), then restore the lane's invariant and
         // clear the shared scratch for the next lane. Member-list
         // splices only ever touch cluster members, every member is in
         // the erasure, and the BFS never leaves it (s2 edges connect
@@ -695,185 +674,6 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
         e.planeMark[ed] = 0;
     }
     e.planeDirty.clear();
-}
-
-void
-UnionFindDecoder::decodeOnGraph(const Graph &graph,
-                                const std::vector<int> &seeds,
-                                int growthBound, TrialWorkspace &ws)
-{
-    const auto &edges = graph.edges;
-    const auto &incident = graph.incident;
-    const int numAncillaVertices = graph.numAncillaVertices;
-    const int numVertices = graph.numVertices;
-
-    auto &parent = ws.ufParent;
-    auto &rank = ws.ufRank;
-    auto &parity = ws.ufParity;
-    auto &boundary = ws.ufBoundary;
-    parent.resize(numVertices);
-    rank.assign(numVertices, 0);
-    parity.assign(numVertices, 0);
-    boundary.assign(numVertices, 0);
-    for (int v = 0; v < numVertices; ++v)
-        parent[v] = v;
-    for (int v = numAncillaVertices; v < numVertices; ++v)
-        boundary[v] = 1;
-    for (int s : seeds)
-        parity[s] = 1;
-
-    auto find = [&parent](int v) {
-        while (parent[v] != v) {
-            parent[v] = parent[parent[v]];
-            v = parent[v];
-        }
-        return v;
-    };
-    auto unite = [&](int a, int b) {
-        a = find(a);
-        b = find(b);
-        if (a == b)
-            return;
-        if (rank[a] < rank[b])
-            std::swap(a, b);
-        parent[b] = a;
-        if (rank[a] == rank[b])
-            ++rank[a];
-        parity[a] ^= parity[b];
-        boundary[a] |= boundary[b];
-    };
-
-    // Cluster growth: odd non-boundary clusters add half-edge support to
-    // all edges on their border each round; edges with full support merge
-    // their endpoints. Only cluster members can sit on an active border,
-    // and every member is a hot seed or an endpoint of a previously
-    // grown edge — so each round scans just that candidate frontier
-    // instead of the whole graph. Support increments, growth rounds and
-    // the final erasure are identical to the full-graph scan (each
-    // active endpoint contributes one half edge either way); the
-    // retained reference decoder in the tests pins this bit for bit.
-    auto &support = ws.ufSupport;
-    auto &candidates = ws.ufCandidates;
-    auto &stamp = ws.ufStamp;
-    auto &grown = ws.ufGrown;
-    support.assign(edges.size(), 0);
-    stamp.assign(numVertices, 0);
-    candidates.assign(seeds.begin(), seeds.end());
-
-    for (;;) {
-        bool any_active = false;
-        grown.clear();
-        const int round_stamp = lastRounds_ + 1;
-        for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-            const int v = candidates[ci];
-            if (stamp[v] == round_stamp)
-                continue;
-            stamp[v] = round_stamp;
-            const int r = find(v);
-            if (!parity[r] || boundary[r])
-                continue;
-            for (int e : incident[v]) {
-                if (support[e] >= 2)
-                    continue;
-                any_active = true;
-                if (++support[e] >= 2)
-                    grown.push_back(e);
-            }
-        }
-        if (!any_active)
-            break;
-        ++lastRounds_;
-        for (int e : grown) {
-            unite(edges[e].u, edges[e].v);
-            candidates.push_back(edges[e].u);
-            candidates.push_back(edges[e].v);
-        }
-        require(lastRounds_ <= growthBound,
-                "UnionFindDecoder: growth failed to converge");
-    }
-
-    // Peeling on the erasure (fully grown edges): build a BFS forest per
-    // cluster rooted at a boundary vertex when available, then peel from
-    // the leaves inward, flipping tree edges below hot vertices.
-    //
-    // Only erasure vertices matter here, and after the growth loop the
-    // candidate list contains exactly the hot seeds plus every grown
-    // edge's endpoints — i.e. the whole erasure (every hot vertex ends
-    // incident to a full edge). Deduplicate and sort it so the forest
-    // roots are chosen in the same ascending boundary-then-ancilla
-    // order as a whole-graph scan would.
-    auto &hot = ws.ufHot;
-    hot.assign(numVertices, 0);
-    for (int s : seeds)
-        hot[s] = 1;
-
-    auto &parent_edge = ws.ufParentEdge;
-    auto &bfs_order = ws.ufBfsOrder;
-    auto &visited = ws.ufVisited;
-    auto &queue = ws.ufQueue;
-    parent_edge.assign(numVertices, -1);
-    bfs_order.clear();
-    visited.assign(numVertices, 0);
-
-    auto &erasure = ws.ufGrown; // growth loop is done with it
-    erasure.clear();
-    for (int v : candidates)
-        if (stamp[v] != -1) {
-            stamp[v] = -1;
-            erasure.push_back(v);
-        }
-    std::sort(erasure.begin(), erasure.end());
-
-    auto bfsFrom = [&](int root) {
-        queue.clear();
-        std::size_t head = 0;
-        queue.push_back(root);
-        visited[root] = 1;
-        while (head < queue.size()) {
-            const int v = queue[head++];
-            bfs_order.push_back(v);
-            for (int e : incident[v]) {
-                if (support[e] < 2)
-                    continue;
-                const int w = edges[e].u == v ? edges[e].v
-                                              : edges[e].u;
-                if (visited[w])
-                    continue;
-                visited[w] = 1;
-                parent_edge[w] = e;
-                queue.push_back(w);
-            }
-        }
-    };
-
-    // Boundary roots first so leftover parity drains into boundaries.
-    for (int v : erasure)
-        if (v >= numAncillaVertices && !visited[v])
-            bfsFrom(v);
-    for (int v : erasure)
-        if (v < numAncillaVertices && !visited[v])
-            bfsFrom(v);
-
-    for (std::size_t i = bfs_order.size(); i-- > 0;) {
-        const int v = bfs_order[i];
-        if (!hot[v] || parent_edge[v] < 0)
-            continue;
-        const GraphEdge &e = edges[parent_edge[v]];
-        const int p = e.u == v ? e.v : e.u;
-        // Time-like tree edges (dataIdx < 0) re-interpret measurement
-        // flips: parity still moves to the parent, no data flip.
-        if (e.dataIdx >= 0)
-            ws.correction.dataFlips.push_back(e.dataIdx);
-        hot[v] = 0;
-        hot[p] ^= 1;
-    }
-
-    // Boundary vertices absorb anything left; every interior vertex must
-    // have drained (non-roots by the peel, interior roots because their
-    // cluster parity is even by the growth exit condition).
-    for (int v = 0; v < numAncillaVertices; ++v)
-        require(!hot[v],
-                "UnionFindDecoder: peeling left a hot interior vertex");
 }
 
 } // namespace nisqpp

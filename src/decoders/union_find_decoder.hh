@@ -6,34 +6,34 @@
  * tracking parity and boundary contact, and the final erasure is peeled
  * to a correction.
  *
- * The growth/peel core is graph-agnostic: the space-only decode runs it
- * on the 2D ancilla graph, and decodeWindow runs the identical
- * algorithm on the (rounds x ancilla) spacetime graph whose time-like
- * edges carry no data qubit — they absorb measurement flips — so the
- * peeled correction is the XOR of the spatial edges only.
+ * One engine decodes everything. It is graph-agnostic: the space-only
+ * decodes run it on the 2D ancilla graph, and the windowed decodes run
+ * it on the (rounds x ancilla) spacetime graph whose time-like edges
+ * carry no data qubit — they absorb measurement flips — so the peeled
+ * correction is the XOR of the spatial edges only.
  *
- * decodeBatch()/decodeWindowBatch() run a *lane-packed* variant of the
- * same algorithm: K independent syndromes share one pass over the
- * graph, with per-edge support counters held as two bit-planes (bit l
- * of word e = lane l's support >= 1 / == 2) in the runtime-dispatched
- * simd.hh lane word. Each growth round walks every live lane's odd
- * non-boundary clusters through per-root member lists (spliced O(1) on
- * union, so no per-round re-scan or root lookup is ever needed), marks
- * active vertices in a shared activity plane, then performs ONE
- * word-parallel sweep that saturates support for all lanes at once —
- * over only the edges incident to this round's active vertices, since
- * no other edge's support can change. Per-lane union-find state lives
- * in lane-major arrays that are initialized once per graph and
- * restored via touched-only cleanup after each peel (the erasure
- * vertices are exactly the state a trial dirtied), and the shared
- * bit-planes are rewound edge-by-edge at chunk end from a dirty-edge
- * list, so the per-trial cost is O(cluster) instead of the scalar
- * path's O(V + E) clears. Grown edges are applied in ascending edge
- * order; the cluster partition, parities, boundary flags, support
- * values, sorted erasure and peel forest are all
- * union-order-independent, so every lane's correction, growth-round
- * count and exported counter is bit-identical to a scalar decode of
- * the same syndrome.
+ * The engine is *lane-packed*: K independent syndromes share one pass
+ * over the graph, with per-edge support counters held as two bit-planes
+ * (bit l of word e = lane l's support >= 1 / == 2) in a simd.hh lane
+ * word. decodeBatch()/decodeWindowBatch() fill as many lanes as the
+ * runtime-dispatched word holds; decode()/decodeWindow() are the same
+ * engine at one lane of a 64-bit word. Each growth round walks every
+ * live lane's odd non-boundary clusters through per-root member lists
+ * (spliced O(1) on union, so no per-round re-scan or root lookup is
+ * ever needed), marks active vertices in a shared activity plane, then
+ * performs ONE word-parallel sweep that saturates support for all
+ * lanes at once — over only the edges incident to this round's active
+ * vertices, since no other edge's support can change. Per-lane
+ * union-find state lives in lane-major arrays that are initialized
+ * once per graph and restored via touched-only cleanup after each peel
+ * (the erasure vertices are exactly the state a trial dirtied), and
+ * the shared bit-planes are rewound edge-by-edge at chunk end from a
+ * dirty-edge list, so the per-trial cost is O(cluster). Grown edges are
+ * applied in ascending edge order; the cluster partition, parities,
+ * boundary flags, support values, sorted erasure and peel forest are
+ * all union-order-independent, so a syndrome's correction, growth-round
+ * count and exported counters do not depend on its lane, on the batch
+ * it rides in or on the lane width.
  */
 
 #ifndef NISQPP_DECODERS_UNION_FIND_DECODER_HH
@@ -60,8 +60,8 @@ class UnionFindDecoder : public Decoder
      * Lane-packed batch decode: up to 8 * sizeof(lane word) syndromes
      * grow their clusters together through shared bit-plane edge
      * sweeps. Corrections land in ws.laneCorrections[0..count), each
-     * bit-identical to decode(*syndromes[i], ws); the accumulated
-     * decoder.uf.* counters are identical too.
+     * equal to decode(*syndromes[i], ws) (the same engine at one
+     * lane); the accumulated decoder.uf.* counters are equal too.
      */
     void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
                      TrialWorkspace &ws) override;
@@ -76,7 +76,7 @@ class UnionFindDecoder : public Decoder
 
     /**
      * Lane-packed windowed batch (same engine on the spacetime graph).
-     * Windows of mixed round counts fall back to the scalar loop.
+     * Windows of mixed round counts decode one at a time.
      */
     void decodeWindowBatch(const SyndromeWindow *const *windows,
                            std::size_t count,
@@ -120,10 +120,13 @@ class UnionFindDecoder : public Decoder
     };
 
     /**
-     * Lane-packed batch state for one lane word type. The shared
-     * planes (s1/s2/act) carry one bit per lane; the union-find arrays
-     * are lane-major (entry l * numVertices + v) and preserved across
-     * chunks by the touched-only cleanup invariant: between trials
+     * Engine state for one lane word type (a 64-bit word also serves
+     * decode()/decodeWindow() at one lane). The state is owned by the
+     * decoder, which is shard-private; nothing lives in the
+     * TrialWorkspace. The shared planes (s1/s2/act) carry one bit per
+     * lane; the union-find arrays are lane-major (entry
+     * l * numVertices + v) and preserved across chunks by the
+     * touched-only cleanup invariant: between trials
      * every lane's slice reads parent[v] == v, meta[v] == its static
      * value (the boundary bit for virtual vertices, zero otherwise),
      * memberNext[v] == -1 and memberTail[v] == v (each vertex is the
@@ -158,11 +161,9 @@ class UnionFindDecoder : public Decoder
         std::vector<int> planeDirty;  ///< edges with nonzero s1/s2 bits
 
         /**
-         * @name Batch-private CSR of the graph's incident lists
-         * (vertex v's edges are incEdges[incOff[v]..incOff[v+1])).
-         * Replaces the vector-of-vectors double indirection on the
-         * batch hot paths (gather + peel BFS) without touching the
-         * scalar decoder's layout.
+         * @name CSR of the graph's incident lists (vertex v's edges
+         * are incEdges[incOff[v]..incOff[v+1])), so the gather and
+         * peel BFS hot paths skip the vector-of-vectors indirection.
          * @{
          */
         std::vector<int> incOff;
@@ -234,10 +235,6 @@ class UnionFindDecoder : public Decoder
         /** @} */
     };
 
-    /** Growth + peel on @p graph seeded at @p seeds (hot vertices). */
-    void decodeOnGraph(const Graph &graph, const std::vector<int> &seeds,
-                       int growthBound, TrialWorkspace &ws);
-
     /** (Re)initialize @p e for @p graph and at least @p lanes lanes. */
     template <typename W>
     void ensureEngine(BatchEngine<W> &e, const Graph &graph,
@@ -245,23 +242,25 @@ class UnionFindDecoder : public Decoder
 
     /**
      * Decode one chunk of @p lanes pre-seeded lanes (candidates[l] =
-     * seeds of trial base + l) on @p graph, writing corrections into
-     * ws.laneCorrections[base..base+lanes) and folding each lane into
-     * the work counters in ascending lane order.
+     * seeds of lane l) on @p graph, writing lane l's correction into
+     * outs[l] and folding each lane into the work counters in
+     * ascending lane order.
      */
     template <typename W>
     void runChunk(const Graph &graph, int growthBound, BatchEngine<W> &e,
-                  std::size_t base, std::size_t lanes,
-                  TrialWorkspace &ws);
+                  std::size_t lanes, Correction *outs);
 
-    /** Chunked batch loops over the 2D / spacetime graphs. @{ */
+    /**
+     * Chunked loops over the 2D / spacetime graphs, decoding item i
+     * into outs[i]. @{
+     */
     template <typename W>
     void runBatch(BatchEngine<W> &e, const Syndrome *const *syndromes,
-                  std::size_t count, TrialWorkspace &ws);
+                  std::size_t count, Correction *outs);
     template <typename W>
     void runWindowBatch(BatchEngine<W> &e,
                         const SyndromeWindow *const *windows,
-                        std::size_t count, TrialWorkspace &ws);
+                        std::size_t count, Correction *outs);
     /** @} */
 
     /**
@@ -288,7 +287,7 @@ class UnionFindDecoder : public Decoder
 
     /** Dispatch width latched at construction (simd::activeWidth). */
     simd::Width width_;
-    BatchEngine<simd::W64> engine64_;
+    BatchEngine<simd::W64> engine64_; ///< also every one-lane decode
     BatchEngine<simd::W256> engine256_;
     BatchEngine<simd::W512> engine512_;
 

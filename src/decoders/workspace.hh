@@ -12,6 +12,11 @@
  * decoder *instances* (the Z and X decoders of a depolarizing run, or
  * different distances in one sweep): every user assign()s or clear()s
  * what it borrows before reading it.
+ *
+ * Decoders whose scratch is tied to their own graph keep it instead:
+ * union-find borrows nothing here beyond the output buffers — its lane
+ * engine state is decoder-owned, and decoders are shard-private — and
+ * the mesh likewise keeps its lane engine as members.
  */
 
 #ifndef NISQPP_DECODERS_WORKSPACE_HH
@@ -53,23 +58,6 @@ class TrialWorkspace
     std::vector<int> mate;         ///< blossom output
     std::vector<WeightedEdge> greedyEdges;
     std::vector<char> matched;
-    /** @} */
-
-    /** @name Union-Find decoder @{ */
-    std::vector<int> ufSeeds; ///< hot vertex ids (2D or spacetime)
-    std::vector<int> ufParent;
-    std::vector<int> ufRank;
-    std::vector<char> ufParity;
-    std::vector<char> ufBoundary;
-    std::vector<char> ufSupport;
-    std::vector<int> ufCandidates; ///< cluster-member frontier vertices
-    std::vector<int> ufStamp;      ///< per-round vertex dedup stamps
-    std::vector<int> ufGrown;
-    std::vector<char> ufHot;
-    std::vector<int> ufParentEdge;
-    std::vector<int> ufBfsOrder;
-    std::vector<char> ufVisited;
-    std::vector<int> ufQueue; ///< BFS FIFO (head index, no pops)
     /** @} */
 };
 

@@ -9,31 +9,9 @@
 #include "core/mesh_decoder.hh"
 #include "sim/monte_carlo.hh"
 #include "surface/error_model.hh"
-#include "surface/logical.hh"
 
 namespace nisqpp {
 namespace {
-
-/** Failure count for one variant on a fixed error stream. */
-int
-variantFailures(const MeshConfig &config, int d, double p, int trials,
-                std::uint64_t seed)
-{
-    SurfaceLattice lat(d);
-    MeshDecoder dec(lat, ErrorType::Z, config);
-    DephasingModel model(p);
-    Rng rng(seed);
-    int fails = 0;
-    for (int t = 0; t < trials; ++t) {
-        ErrorState st(lat);
-        model.sample(rng, st);
-        const Correction corr =
-            dec.decode(extractSyndrome(st, ErrorType::Z));
-        corr.applyTo(st, ErrorType::Z);
-        fails += classifyResidual(st, ErrorType::Z).failed();
-    }
-    return fails;
-}
 
 TEST(MeshVariants, BoundaryMechanismRequiredForOddSyndromes)
 {

@@ -1,12 +1,12 @@
 /**
  * @file
- * Lane-packed batch union-find pinned bit-exact against the scalar
- * reference: for every distance the experiments sweep, every noise
+ * Lane-packed union-find pinned to the whole-graph-scan reference in
+ * tests/support: for every distance the experiments sweep, every noise
  * channel (including erasure) and every SIMD dispatch width,
- * decodeBatch() / decodeWindowBatch() must emit corrections AND
- * decoder.uf.* telemetry byte-identical to one-at-a-time scalar
- * decodes of the same syndromes — across chunk boundaries, weight-0
- * lanes and repeated batches through one engine.
+ * decodeBatch() / decodeWindowBatch() (and decodeWindow(), the engine
+ * at one lane on the spacetime graph) must emit the reference's
+ * corrections AND its decoder.uf.* counters — across chunk
+ * boundaries, weight-0 lanes and repeated batches through one engine.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@
 #include "noise/channels.hh"
 #include "obs/metrics.hh"
 #include "surface/error_state.hh"
-#include "surface/logical.hh"
+#include "support/reference_union_find.hh"
 #include "surface/syndrome_window.hh"
 
 namespace nisqpp {
@@ -82,43 +82,66 @@ sampleSyndromes(const SurfaceLattice &lat, const NoiseChannel &channel,
     return out;
 }
 
-/** Flatten a MetricSet for whole-set equality checks. */
-std::map<std::string, std::vector<std::uint64_t>>
-metricMap(const UnionFindDecoder &dec)
+/**
+ * The decoder's decoder.uf.* metrics must equal the reference's
+ * cumulative counters, growth-round histogram included.
+ */
+void
+expectCountersMatch(const UnionFindDecoder &dec,
+                    const ReferenceUnionFind &ref,
+                    const std::string &label)
 {
+    const ReferenceUnionFind::Counters &c = ref.counters();
     obs::MetricSet m;
     dec.exportMetrics(m);
-    std::map<std::string, std::vector<std::uint64_t>> out;
-    m.forEachScalar([&out](const std::string &name, bool,
-                           std::uint64_t value) {
-        out["scalar." + name] = {value};
+    std::map<std::string, std::uint64_t> scalars;
+    m.forEachScalar([&scalars](const std::string &name, bool,
+                               std::uint64_t value) {
+        scalars[name] = value;
     });
-    m.forEachHistogram([&out](const std::string &name,
-                              const obs::MetricSet::HistogramEntry &e) {
-        std::vector<std::uint64_t> v = {e.sum, e.hist.overflow()};
+    const std::map<std::string, std::uint64_t> expected = {
+        {"decoder.uf.decodes", c.decodes},
+        {"decoder.uf.growth_rounds", c.growthRounds},
+        {"decoder.uf.peel_flips", c.peelFlips},
+        {"decoder.uf.window_decodes", c.windowDecodes}};
+    EXPECT_EQ(scalars, expected) << label;
+
+    int histograms = 0;
+    m.forEachHistogram([&](const std::string &name,
+                           const obs::MetricSet::HistogramEntry &e) {
+        ++histograms;
+        EXPECT_EQ(name, "decoder.uf.growth_rounds") << label;
+        EXPECT_EQ(e.sum, c.growthRounds) << label;
+        std::map<int, std::uint64_t> bins, expectedBins;
+        std::uint64_t expectedOverflow = 0;
         for (std::size_t i = 0; i < e.hist.numBins(); ++i)
-            v.push_back(e.hist.bin(i));
-        out["hist." + name] = v;
+            if (e.hist.bin(i) != 0)
+                bins[static_cast<int>(i)] = e.hist.bin(i);
+        for (const auto &[rounds, n] : c.roundsHist) {
+            if (static_cast<std::size_t>(rounds) < e.hist.numBins())
+                expectedBins[rounds] = n;
+            else
+                expectedOverflow += n;
+        }
+        EXPECT_EQ(bins, expectedBins) << label;
+        EXPECT_EQ(e.hist.overflow(), expectedOverflow) << label;
     });
-    return out;
+    EXPECT_EQ(histograms, 1) << label;
 }
 
 /**
- * Decode @p syns one-by-one through @p scalar and batched through
- * @p batched, asserting bit-identical corrections and counters.
+ * Decode @p syns one-by-one through @p ref and batched through
+ * @p batched, asserting equal corrections and counters.
  */
 void
-expectBatchMatchesScalar(UnionFindDecoder &scalar,
-                         UnionFindDecoder &batched,
-                         const std::vector<Syndrome> &syns,
-                         const std::string &label)
+expectBatchMatchesReference(UnionFindDecoder &batched,
+                            ReferenceUnionFind &ref,
+                            const std::vector<Syndrome> &syns,
+                            const std::string &label)
 {
-    TrialWorkspace sws;
-    std::vector<Correction> expected;
-    for (const Syndrome &syn : syns) {
-        scalar.decode(syn, sws);
-        expected.push_back(sws.correction);
-    }
+    std::vector<std::vector<int>> expected;
+    for (const Syndrome &syn : syns)
+        expected.push_back(ref.decode(syn));
 
     std::vector<const Syndrome *> ptrs;
     for (const Syndrome &syn : syns)
@@ -128,13 +151,47 @@ expectBatchMatchesScalar(UnionFindDecoder &scalar,
 
     ASSERT_GE(ws.laneCorrections.size(), syns.size()) << label;
     for (std::size_t i = 0; i < syns.size(); ++i)
-        EXPECT_EQ(ws.laneCorrections[i].dataFlips,
-                  expected[i].dataFlips)
+        EXPECT_EQ(ws.laneCorrections[i].dataFlips, expected[i])
             << label << ": correction of lane " << i;
-    EXPECT_EQ(metricMap(batched), metricMap(scalar)) << label;
+    expectCountersMatch(batched, ref, label);
 }
 
-TEST(UnionFindBatch, MatchesScalarAcrossDistancesAndChannels)
+/**
+ * Decode @p windows through the reference, one at a time through
+ * @p scalar and batched through @p batched: both must match it, and
+ * since each decoder sees every window once, so must both counters.
+ */
+void
+expectWindowsMatchReference(
+    UnionFindDecoder &scalar, UnionFindDecoder &batched,
+    const std::vector<std::unique_ptr<SyndromeWindow>> &windows,
+    const std::string &label)
+{
+    ReferenceUnionFind ref(scalar.lattice(), scalar.type());
+    TrialWorkspace sws;
+    std::vector<const SyndromeWindow *> ptrs;
+    std::vector<std::vector<int>> expected;
+    for (const auto &win : windows) {
+        expected.push_back(ref.decodeWindow(*win));
+        scalar.decodeWindow(*win, sws);
+        EXPECT_EQ(sws.correction.dataFlips, expected.back())
+            << label << ": decodeWindow " << ptrs.size();
+        EXPECT_EQ(scalar.lastGrowthRounds(), ref.lastGrowthRounds())
+            << label << ": decodeWindow " << ptrs.size();
+        ptrs.push_back(win.get());
+    }
+    expectCountersMatch(scalar, ref, label + " decodeWindow");
+
+    TrialWorkspace ws;
+    batched.decodeWindowBatch(ptrs.data(), ptrs.size(), ws);
+    ASSERT_GE(ws.laneCorrections.size(), windows.size()) << label;
+    for (std::size_t i = 0; i < windows.size(); ++i)
+        EXPECT_EQ(ws.laneCorrections[i].dataFlips, expected[i])
+            << label << ": lane " << i;
+    expectCountersMatch(batched, ref, label + " decodeWindowBatch");
+}
+
+TEST(UnionFindBatch, MatchesReferenceAcrossDistancesAndChannels)
 {
     Rng rng(0xbeefcafeULL);
     for (simd::Width w : kWidths) {
@@ -145,15 +202,15 @@ TEST(UnionFindBatch, MatchesScalarAcrossDistancesAndChannels)
                 for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
                     if (type == ErrorType::X && !channel->producesX())
                         continue;
-                    UnionFindDecoder scalar(lat, type);
+                    ReferenceUnionFind ref(lat, type);
                     UnionFindDecoder batched(lat, type);
                     EXPECT_EQ(batched.batchWidth(), w);
                     // 2.5 chunks of the widest engine so every width
                     // exercises chunk boundaries and a ragged tail.
                     const auto syns = sampleSyndromes(
                         lat, *channel, type, 160, rng);
-                    expectBatchMatchesScalar(
-                        scalar, batched, syns,
+                    expectBatchMatchesReference(
+                        batched, ref, syns,
                         "d=" + std::to_string(d) + " " +
                             channel->name() + " " +
                             simd::widthName(w) +
@@ -169,12 +226,12 @@ TEST(UnionFindBatch, HeavySyndromesAndRepeatedBatches)
     // Back-to-back batches of varying sizes (including size 1 and a
     // sub-word tail) through one decoder: later batches must not see
     // earlier lanes' cluster state, and counters accumulate across
-    // batches exactly as a scalar decoder's do.
+    // batches exactly as the reference's do.
     Rng rng(0x0ddba11ULL);
     for (simd::Width w : kWidths) {
         WidthGuard guard(w);
         SurfaceLattice lat(9);
-        UnionFindDecoder scalar(lat, ErrorType::Z);
+        ReferenceUnionFind ref(lat, ErrorType::Z);
         UnionFindDecoder batched(lat, ErrorType::Z);
         ErrorState state(lat);
         for (int size : {67, 1, 8, 3, 129, 5}) {
@@ -189,10 +246,10 @@ TEST(UnionFindBatch, HeavySyndromesAndRepeatedBatches)
                 extractSyndromeInto(state, ErrorType::Z, syn);
                 syns.push_back(std::move(syn));
             }
-            expectBatchMatchesScalar(scalar, batched, syns,
-                                     simd::widthName(w) +
-                                         std::string(" batch size ") +
-                                         std::to_string(size));
+            expectBatchMatchesReference(batched, ref, syns,
+                                        simd::widthName(w) +
+                                            std::string(" batch size ") +
+                                            std::to_string(size));
         }
     }
 }
@@ -209,12 +266,12 @@ TEST(UnionFindBatch, ErasureMarkedLatticeStillMatches)
             SurfaceLattice lat(d);
             ErasureChannel channel(0.12);
             for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
-                UnionFindDecoder scalar(lat, type);
+                ReferenceUnionFind ref(lat, type);
                 UnionFindDecoder batched(lat, type);
                 const auto syns =
                     sampleSyndromes(lat, channel, type, 40, rng);
-                expectBatchMatchesScalar(
-                    scalar, batched, syns,
+                expectBatchMatchesReference(
+                    batched, ref, syns,
                     "erasure d=" + std::to_string(d));
             }
         }
@@ -244,11 +301,11 @@ buildNoisyWindow(const SurfaceLattice &lat, int w,
     win.recordRound(w, syn);
 }
 
-TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
+TEST(UnionFindBatch, WindowedSpacetimeMatchesReference)
 {
-    // Spacetime windows with faulty measurement: decodeWindowBatch
-    // must match decodeWindow lane for lane, including windows whose
-    // detection-event sets are empty.
+    // Spacetime windows with faulty measurement: decodeWindow and
+    // decodeWindowBatch must match the reference window for window,
+    // including windows whose detection-event sets are empty.
     Rng rng(0x77a11ULL);
     const MeasurementFlipChannel meas(0.03);
     for (simd::Width w : kWidths) {
@@ -269,38 +326,18 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
                     buildNoisyWindow(lat, d, channel, meas, rng, *win);
                 windows.push_back(std::move(win));
             }
-
-            TrialWorkspace sws;
-            std::vector<Correction> expected;
-            for (const auto &win : windows) {
-                scalar.decodeWindow(*win, sws);
-                expected.push_back(sws.correction);
-            }
-
-            std::vector<const SyndromeWindow *> ptrs;
-            for (const auto &win : windows)
-                ptrs.push_back(win.get());
-            TrialWorkspace ws;
-            batched.decodeWindowBatch(ptrs.data(), ptrs.size(), ws);
-
-            const std::string label =
+            expectWindowsMatchReference(
+                scalar, batched, windows,
                 "window d=" + std::to_string(d) + " " +
-                simd::widthName(w);
-            ASSERT_GE(ws.laneCorrections.size(), windows.size())
-                << label;
-            for (std::size_t i = 0; i < windows.size(); ++i)
-                EXPECT_EQ(ws.laneCorrections[i].dataFlips,
-                          expected[i].dataFlips)
-                    << label << ": lane " << i;
-            EXPECT_EQ(metricMap(batched), metricMap(scalar)) << label;
+                    simd::widthName(w));
         }
     }
 }
 
 TEST(UnionFindBatch, MixedRoundWindowsFallBackConsistently)
 {
-    // Windows of unequal round counts route through the base-class
-    // scalar loop — still bit-identical to one-at-a-time decodes.
+    // Windows of unequal round counts decode one at a time through
+    // the base-class loop — still equal to the reference.
     Rng rng(0x2ea7ULL);
     SurfaceLattice lat(5);
     const DephasingChannel channel(0.05);
@@ -315,23 +352,7 @@ TEST(UnionFindBatch, MixedRoundWindowsFallBackConsistently)
         buildNoisyWindow(lat, rounds, channel, meas, rng, *win);
         windows.push_back(std::move(win));
     }
-
-    TrialWorkspace sws;
-    std::vector<Correction> expected;
-    for (const auto &win : windows) {
-        scalar.decodeWindow(*win, sws);
-        expected.push_back(sws.correction);
-    }
-    std::vector<const SyndromeWindow *> ptrs;
-    for (const auto &win : windows)
-        ptrs.push_back(win.get());
-    TrialWorkspace ws;
-    batched.decodeWindowBatch(ptrs.data(), ptrs.size(), ws);
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        EXPECT_EQ(ws.laneCorrections[i].dataFlips,
-                  expected[i].dataFlips)
-            << "mixed-round lane " << i;
-    EXPECT_EQ(metricMap(batched), metricMap(scalar));
+    expectWindowsMatchReference(scalar, batched, windows, "mixed-round");
 }
 
 TEST(UnionFindBatch, CorrectionClearsSyndromeHolds)

@@ -4,15 +4,13 @@
  * decoders, distances and error types) must produce exactly the same
  * corrections as the allocating decode() entry point (a fresh
  * workspace per call), across lattices d = 3..11 and many random
- * syndromes. Also pins the frontier-scan union-find growth to a
- * retained reference implementation of the original whole-graph scan.
+ * syndromes. Also pins union-find decode() to the whole-graph-scan
+ * reference in tests/support.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/rng.hh"
@@ -22,6 +20,7 @@
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"
 #include "support/lut_decoder.hh"
+#include "support/reference_union_find.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 
@@ -40,172 +39,6 @@ randomSyndrome(Rng &rng, const SurfaceLattice &lat, ErrorType type,
     return extractSyndrome(state, type);
 }
 
-/**
- * The pre-frontier union-find decoder, retained verbatim as the
- * reference the production decoder is pinned against: whole-graph
- * edge scan per growth round, queue-based BFS peel over all vertices.
- */
-class ReferenceUnionFind
-{
-  public:
-    ReferenceUnionFind(const SurfaceLattice &lattice, ErrorType type)
-        : lattice_(&lattice), type_(type)
-    {
-        const int na = lattice.numAncilla(type);
-        numAncillaVertices_ = na;
-        numVertices_ = na;
-        incident_.resize(na);
-        for (int d = 0; d < lattice.numData(); ++d) {
-            const auto &ancs = lattice.dataAncillaNeighbors(type, d);
-            if (ancs.size() == 2) {
-                const int id = static_cast<int>(edges_.size());
-                edges_.push_back({ancs[0], ancs[1], d});
-                incident_[ancs[0]].push_back(id);
-                incident_[ancs[1]].push_back(id);
-            } else {
-                const int bv = numVertices_++;
-                incident_.emplace_back();
-                const int id = static_cast<int>(edges_.size());
-                edges_.push_back({ancs[0], bv, d});
-                incident_[ancs[0]].push_back(id);
-                incident_[bv].push_back(id);
-            }
-        }
-    }
-
-    std::vector<int>
-    decode(const Syndrome &syndrome)
-    {
-        std::vector<int> corr;
-        if (syndrome.weight() == 0)
-            return corr;
-
-        parent_.resize(numVertices_);
-        rank_.assign(numVertices_, 0);
-        parity_.assign(numVertices_, 0);
-        boundary_.assign(numVertices_, 0);
-        for (int v = 0; v < numVertices_; ++v)
-            parent_[v] = v;
-        for (int v = numAncillaVertices_; v < numVertices_; ++v)
-            boundary_[v] = 1;
-        for (int a = 0; a < numAncillaVertices_; ++a)
-            parity_[a] = syndrome.hot(a);
-
-        std::vector<char> support(edges_.size(), 0);
-        auto clusterActive = [&](int v) {
-            const int r = find(v);
-            return parity_[r] && !boundary_[r];
-        };
-        for (;;) {
-            bool any_active = false;
-            std::vector<int> grown;
-            for (std::size_t e = 0; e < edges_.size(); ++e) {
-                if (support[e] >= 2)
-                    continue;
-                const bool a_act = clusterActive(edges_[e].u);
-                const bool b_act = clusterActive(edges_[e].v);
-                const int inc = (a_act ? 1 : 0) + (b_act ? 1 : 0);
-                if (inc == 0)
-                    continue;
-                any_active = true;
-                support[e] = static_cast<char>(
-                    std::min(2, support[e] + inc));
-                if (support[e] >= 2)
-                    grown.push_back(static_cast<int>(e));
-            }
-            if (!any_active)
-                break;
-            for (int e : grown)
-                unite(edges_[e].u, edges_[e].v);
-        }
-
-        std::vector<char> hot(numVertices_, 0);
-        for (int a = 0; a < numAncillaVertices_; ++a)
-            hot[a] = syndrome.hot(a);
-        std::vector<int> parent_edge(numVertices_, -1);
-        std::vector<int> bfs_order;
-        std::vector<char> visited(numVertices_, 0);
-        auto bfsFrom = [&](int root) {
-            std::queue<int> q;
-            q.push(root);
-            visited[root] = 1;
-            while (!q.empty()) {
-                const int v = q.front();
-                q.pop();
-                bfs_order.push_back(v);
-                for (int e : incident_[v]) {
-                    if (support[e] < 2)
-                        continue;
-                    const int w = edges_[e].u == v ? edges_[e].v
-                                                   : edges_[e].u;
-                    if (visited[w])
-                        continue;
-                    visited[w] = 1;
-                    parent_edge[w] = e;
-                    q.push(w);
-                }
-            }
-        };
-        for (int v = numAncillaVertices_; v < numVertices_; ++v)
-            if (!visited[v])
-                bfsFrom(v);
-        for (int v = 0; v < numAncillaVertices_; ++v)
-            if (!visited[v])
-                bfsFrom(v);
-
-        for (std::size_t i = bfs_order.size(); i-- > 0;) {
-            const int v = bfs_order[i];
-            if (!hot[v] || parent_edge[v] < 0)
-                continue;
-            const auto &e = edges_[parent_edge[v]];
-            const int p = e.u == v ? e.v : e.u;
-            corr.push_back(e.dataIdx);
-            hot[v] = 0;
-            hot[p] ^= 1;
-        }
-        return corr;
-    }
-
-  private:
-    struct GraphEdge
-    {
-        int u, v, dataIdx;
-    };
-
-    int find(int v)
-    {
-        while (parent_[v] != v) {
-            parent_[v] = parent_[parent_[v]];
-            v = parent_[v];
-        }
-        return v;
-    }
-
-    void unite(int a, int b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b)
-            return;
-        if (rank_[a] < rank_[b])
-            std::swap(a, b);
-        parent_[b] = a;
-        if (rank_[a] == rank_[b])
-            ++rank_[a];
-        parity_[a] ^= parity_[b];
-        boundary_[a] |= boundary_[b];
-    }
-
-    const SurfaceLattice *lattice_;
-    ErrorType type_;
-    std::vector<GraphEdge> edges_;
-    std::vector<std::vector<int>> incident_;
-    int numAncillaVertices_ = 0;
-    int numVertices_ = 0;
-    std::vector<int> parent_, rank_;
-    std::vector<char> parity_, boundary_;
-};
-
 TEST(Workspace, UnionFindMatchesReferenceImplementation)
 {
     Rng rng(0x0f4eULL);
@@ -221,6 +54,9 @@ TEST(Workspace, UnionFindMatchesReferenceImplementation)
                 decoder.decode(syn, ws);
                 EXPECT_EQ(ws.correction.dataFlips,
                           reference.decode(syn))
+                    << "d=" << d << " round=" << round;
+                EXPECT_EQ(decoder.lastGrowthRounds(),
+                          reference.lastGrowthRounds())
                     << "d=" << d << " round=" << round;
             }
         }
