@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <ostream>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "decoders/workspace.hh"
@@ -383,36 +381,6 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     if (anyW(drained))
         for (int r = 0; r < span_; ++r)
             e.fired[r] &= ~drained;
-
-    if constexpr (std::is_same_v<W, std::uint64_t>) {
-        if (trace && e.lanes == 1) {
-            // Print next cycle's in-flight signals (the shifted
-            // inputs), matching the historical scalar trace format.
-            auto plane_cells =
-                [&](const typename LaneEngine<W>::Planes &out,
-                    const char *tag) {
-                    for (int d = 0; d < kNumDirs; ++d)
-                        for (int r = 0; r < span_; ++r) {
-                            W w = d == dN   ? inN(out[dN], r)
-                                  : d == dE ? inE(out[dE], r)
-                                  : d == dS ? inS(out[dS], r)
-                                            : inW(out[dW], r);
-                            while (w) {
-                                const int bit = std::countr_zero(w);
-                                w &= w - 1;
-                                *trace << ' ' << tag << "NESW"[d]
-                                       << '(' << r - 1 << ','
-                                       << bit - 1 << ')';
-                            }
-                        }
-                };
-            *trace << "cycle " << e.cycle << " reset="
-                   << e.resetCountdown[0] << " |";
-            plane_cells(e.prOut, "pr");
-            plane_cells(e.grOut, "gr");
-            *trace << '\n';
-        }
-    }
 
     // Publish this cycle's emissions as next cycle's inputs-to-derive.
     std::swap(e.g, e.gOut);

@@ -46,7 +46,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "common/logging.hh"
@@ -67,15 +66,6 @@ class MeshDecoder : public Decoder
   public:
     /** Largest lane count any batch geometry uses (v512 at d = 3). */
     static constexpr int kMaxLanes = 64;
-
-    /**
-     * Historical name of the 256-bit batch word; the batch engine now
-     * dispatches at runtime between simd::W64/W256/W512 (the width is
-     * latched from simd::activeWidth() at construction), and every
-     * lane's corrections and telemetry are bit-identical across
-     * widths — only throughput moves.
-     */
-    using BatchWord = simd::W256;
 
     MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
                 const MeshConfig &config = MeshConfig::finalDesign());
@@ -152,26 +142,19 @@ class MeshDecoder : public Decoder
         quiescence_ = quiescence_window;
     }
 
-    /**
-     * Optional per-cycle trace sink for protocol debugging; prints
-     * in-flight signal summaries each cycle when non-null (scalar
-     * decodes only — batched lanes are not traced).
-     */
-    std::ostream *trace = nullptr;
-
   private:
     /**
      * Everything the stepping core needs for one lane layout: the lane
      * geometry (masks replicated into every lane of every element,
      * shift guards), the mesh planes, per-step scratch and the
-     * per-lane control state. Two engines exist — LaneEngine<uint64_t>
-     * serves scalar decode() with a single lane (bit layout identical
-     * to the historical scalar decoder) and LaneEngine<BatchWord>
-     * packs batchLanes() trials — and both run the exact same
-     * (templated) stepping code. All per-lane control state is
-     * *relative* to the lane's own start cycle, which is what lets
-     * decodeLanes() refill a freed lane with the next pending trial
-     * mid-flight.
+     * per-lane control state. LaneEngine<uint64_t> serves scalar
+     * decode() with a single lane (bit layout identical to the
+     * historical scalar decoder) and the LaneEngine<simd::W64/W256/
+     * W512> latched at construction packs batchLanes() trials — and
+     * all run the exact same (templated) stepping code. All per-lane
+     * control state is *relative* to the lane's own start cycle, which
+     * is what lets decodeLanes() refill a freed lane with the next
+     * pending trial mid-flight.
      */
     template <typename W>
     struct LaneEngine

@@ -55,11 +55,13 @@ runTieredCells(ScenarioContext &ctx, const SurfaceLattice &lattice,
     std::vector<StreamingResult> results(cells.size());
     std::vector<std::function<void()>> jobs;
     jobs.reserve(cells.size());
+    const std::size_t batchLanes = ctx.engine().options().batchLanes;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattice, i] {
+        jobs.push_back([&cells, &results, &lattice, batchLanes, i] {
             const TieredCell &cell = cells[i];
             StreamConfig config = cell.config;
             config.lattice = &lattice;
+            config.batchLanes = batchLanes;
             std::unique_ptr<Decoder> decoder;
             if (cell.threshold >= 0.0)
                 decoder = tieredDecoderFactory(

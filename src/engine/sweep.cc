@@ -72,11 +72,10 @@ runShard(const CellSpec &spec, const Shard &shard)
     obs::TraceSpan span(obs::Stage::Shard);
     auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
     std::unique_ptr<Decoder> x_dec;
-    const std::unique_ptr<NoiseModel> model =
-        makeNoiseModel(spec.noise, spec.physicalRate);
-    if (model->producesX())
+    const NoiseModel model(spec.noise, spec.physicalRate);
+    if (model.producesX())
         x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
-    LifetimeSimulator sim(*spec.lattice, *model, *z_dec, x_dec.get(),
+    LifetimeSimulator sim(*spec.lattice, model, *z_dec, x_dec.get(),
                           shard.seed, &workspace);
     sim.setLifetimeMode(spec.lifetimeMode);
     sim.setBatchLanes(spec.batchLanes);

@@ -1,7 +1,6 @@
 #include "noise/noise_model.hh"
 
 #include "common/logging.hh"
-#include "common/table.hh"
 #include "surface/syndrome.hh"
 
 namespace nisqpp {
@@ -51,127 +50,110 @@ noiseKindRegistry()
     return kinds;
 }
 
-NoiseModel &
-NoiseModel::add(std::unique_ptr<NoiseChannel> channel)
+NoiseModel::NoiseModel(const NoiseSpec &spec, double p)
+    : spec_(spec), p_(p), pThresh_(Rng::threshold(p)),
+      qThresh_(Rng::threshold(spec.q))
 {
-    require(channel != nullptr, "NoiseModel: null channel");
-    channels_.push_back(std::move(channel));
-    return *this;
-}
-
-NoiseModel &
-NoiseModel::withMeasurementFlips(double q)
-{
-    q_ = MeasurementFlipChannel(q);
-    return *this;
+    require(p >= 0.0 && p <= 1.0, "NoiseModel: p out of [0,1]");
+    require(spec.kind != NoiseKind::Biased || spec.eta > 0.0,
+            "NoiseModel: eta must be positive");
+    require(spec.q >= 0.0 && spec.q <= 1.0, "NoiseModel: q out of [0,1]");
 }
 
 void
 NoiseModel::sample(Rng &rng, ErrorState &state) const
 {
-    for (const auto &channel : channels_)
-        channel->sampleInto(rng, state);
-}
-
-double
-NoiseModel::physicalRate() const
-{
-    double total = 0.0;
-    for (const auto &channel : channels_)
-        total += channel->rate();
-    return total;
-}
-
-std::string
-NoiseModel::name() const
-{
-    std::string out;
-    for (const auto &channel : channels_) {
-        if (!out.empty())
-            out += "+";
-        out += channel->name();
+    const int n = state.lattice().numData();
+    if (p_ <= 0.0)
+        return; // bernoulli(p <= 0) consumes no draw; neither may we
+    switch (spec_.kind) {
+      case NoiseKind::Dephasing:
+        if (p_ >= 1.0) {
+            for (int q = 0; q < n; ++q)
+                state.inject(q, Pauli::Z);
+            return;
+        }
+        for (int q = 0; q < n; ++q)
+            if (rng.coin(pThresh_))
+                state.inject(q, Pauli::Z);
+        return;
+      case NoiseKind::Depolarizing:
+        for (int q = 0; q < n; ++q) {
+            if (p_ < 1.0 && !rng.coin(pThresh_))
+                continue;
+            switch (rng.uniformInt(3)) {
+              case 0: state.inject(q, Pauli::X); break;
+              case 1: state.inject(q, Pauli::Y); break;
+              default: state.inject(q, Pauli::Z); break;
+            }
+        }
+        return;
+      case NoiseKind::Biased: {
+        const double z_share = spec_.eta / (1.0 + spec_.eta);
+        for (int q = 0; q < n; ++q) {
+            if (p_ < 1.0 && !rng.coin(pThresh_))
+                continue;
+            if (rng.bernoulli(z_share))
+                state.inject(q, Pauli::Z);
+            else
+                state.inject(q, rng.uniformInt(2) == 0 ? Pauli::X
+                                                       : Pauli::Y);
+        }
+        return;
+      }
+      case NoiseKind::Erasure:
+        for (int q = 0; q < n; ++q) {
+            if (p_ < 1.0 && !rng.coin(pThresh_))
+                continue;
+            switch (rng.uniformInt(4)) {
+              case 0: break; // erased into I: no Pauli kick
+              case 1: state.inject(q, Pauli::X); break;
+              case 2: state.inject(q, Pauli::Y); break;
+              default: state.inject(q, Pauli::Z); break;
+            }
+        }
+        return;
     }
-    if (out.empty())
-        out = "empty";
-    if (q_.rate() > 0.0)
-        out += "+meas(q=" + TablePrinter::num(q_.rate(), 4) + ")";
-    return out;
 }
 
 void
 NoiseModel::flipMeasurements(Rng &rng, Syndrome &syndrome) const
 {
-    q_.corrupt(rng, syndrome);
-}
-
-bool
-NoiseModel::producesX() const
-{
-    for (const auto &channel : channels_)
-        if (channel->producesX())
-            return true;
-    return false;
-}
-
-const NoiseChannel &
-NoiseModel::channel(std::size_t i) const
-{
-    require(i < channels_.size(), "NoiseModel: channel out of range");
-    return *channels_[i];
+    if (spec_.q <= 0.0)
+        return;
+    const int n = syndrome.size();
+    if (spec_.q >= 1.0) { // bernoulli(q >= 1) consumes no draw
+        for (int a = 0; a < n; ++a)
+            syndrome.flip(a);
+        return;
+    }
+    for (int a = 0; a < n; ++a)
+        if (rng.coin(qThresh_))
+            syndrome.flip(a);
 }
 
 NoiseModel
 NoiseModel::depolarizing(double p, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<DepolarizingChannel>(p))
-        .withMeasurementFlips(q);
-    return model;
+    return {NoiseSpec::depolarizing().withQ(q), p};
 }
 
 NoiseModel
 NoiseModel::dephasing(double p, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<DephasingChannel>(p))
-        .withMeasurementFlips(q);
-    return model;
+    return {NoiseSpec::dephasing().withQ(q), p};
 }
 
 NoiseModel
 NoiseModel::biased(double p, double eta, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<BiasedEtaChannel>(p, eta))
-        .withMeasurementFlips(q);
-    return model;
+    return {NoiseSpec::biased(eta).withQ(q), p};
 }
 
 NoiseModel
 NoiseModel::erasure(double p, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<ErasureChannel>(p))
-        .withMeasurementFlips(q);
-    return model;
-}
-
-NoiseModel
-NoiseModel::fromSpec(const NoiseSpec &spec, double p)
-{
-    switch (spec.kind) {
-      case NoiseKind::Dephasing: return dephasing(p, spec.q);
-      case NoiseKind::Depolarizing: return depolarizing(p, spec.q);
-      case NoiseKind::Biased: return biased(p, spec.eta, spec.q);
-      case NoiseKind::Erasure: return erasure(p, spec.q);
-    }
-    panic("NoiseModel::fromSpec: unknown kind");
-}
-
-std::unique_ptr<NoiseModel>
-makeNoiseModel(const NoiseSpec &spec, double p)
-{
-    return std::make_unique<NoiseModel>(NoiseModel::fromSpec(spec, p));
+    return {NoiseSpec::erasure().withQ(q), p};
 }
 
 } // namespace nisqpp

@@ -1,38 +1,52 @@
 /**
  * @file
- * Composite noise model: an ordered list of per-round data-qubit
- * channels plus a measurement-flip channel of rate q, implementing the
- * `ErrorModel` interface every layer above consumes. A `NoiseSpec`
- * value describes a model shape (channel kind, bias, q) without the
- * physical rate p, so the experiment engine can carry noise
- * configuration through `CellSpec`/`SweepConfig` by value and
- * instantiate per-shard models deterministically.
+ * The noise layer: one per-round data-qubit channel at physical rate p
+ * plus readout flips at rate q (NISQ failure modes beyond the paper's
+ * two i.i.d. data channels; cf. Brandhofer et al., "NISQ Computers —
+ * How They Fail"). A `NoiseSpec` value describes a model shape
+ * (channel kind, bias, q) without p, so the experiment engine can
+ * carry noise configuration through `CellSpec`/`SweepConfig` by value
+ * and instantiate a `NoiseModel` per shard deterministically.
  */
 
 #ifndef NISQPP_NOISE_NOISE_MODEL_HH
 #define NISQPP_NOISE_NOISE_MODEL_HH
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "noise/channels.hh"
-#include "noise/error_model.hh"
+#include "common/rng.hh"
+#include "surface/error_state.hh"
 
 namespace nisqpp {
 
-/** Named channel kinds of the pluggable subsystem. */
+class Syndrome;
+
+/** Named data-channel kinds. */
 enum class NoiseKind : unsigned char
 {
     Dephasing,    ///< Z with probability p (the paper's headline)
     Depolarizing, ///< X, Y, Z each with probability p/3
-    Biased,       ///< bias-eta Pauli channel
-    Erasure,      ///< random-Pauli erasure channel
+    /**
+     * Biased Pauli channel with bias eta = pZ / (pX + pY): an error
+     * occurs with probability p; it is Z with probability
+     * eta/(1+eta), otherwise X or Y with equal probability.
+     * eta -> infinity recovers pure dephasing; eta = 1/2 recovers the
+     * depolarizing split.
+     */
+    Biased,
+    /**
+     * With probability p a data qubit is erased — replaced by a
+     * uniformly random Pauli from {I, X, Y, Z}. Decoders see only the
+     * resulting syndrome, not the erased locations.
+     */
+    Erasure,
 };
 
 /**
  * Value-type description of a noise model, minus the physical rate p
- * (the sweep axis). Defaults reproduce the legacy configuration:
+ * (the sweep axis). Defaults reproduce the paper's configuration:
  * pure dephasing with perfect measurement.
  */
 struct NoiseSpec
@@ -68,33 +82,32 @@ std::string noiseKindName(NoiseKind kind);
 /** All channel kinds, in presentation order (noise_zoo iterates it). */
 const std::vector<NoiseKind> &noiseKindRegistry();
 
-/** Composite data channels + measurement flips behind ErrorModel. */
-class NoiseModel : public ErrorModel
+/**
+ * One data channel sampled i.i.d. per data qubit per round, plus
+ * measured-syndrome bit flips of rate q. A zero rate draws nothing
+ * from the RNG (p = 0 in sample, q = 0 in flipMeasurements), so
+ * perfect-measurement streams keep their draw sequences.
+ */
+class NoiseModel
 {
   public:
-    /** Empty model; add() channels before sampling. */
-    NoiseModel() = default;
+    /** Instantiate @p spec at physical rate @p p. */
+    NoiseModel(const NoiseSpec &spec, double p);
 
-    NoiseModel(NoiseModel &&) = default;
-    NoiseModel &operator=(NoiseModel &&) = default;
+    /** Multiply one round of fresh data errors into @p state. */
+    void sample(Rng &rng, ErrorState &state) const;
 
-    /** Append a data channel; sampling runs channels in add order. */
-    NoiseModel &add(std::unique_ptr<NoiseChannel> channel);
+    /** Flip each bit of @p syndrome independently with probability q. */
+    void flipMeasurements(Rng &rng, Syndrome &syndrome) const;
 
-    /** Set the measurement flip rate q (0 disables readout noise). */
-    NoiseModel &withMeasurementFlips(double q);
+    /** Measurement (readout) flip rate q; 0 = perfect measurement. */
+    double measurementFlipRate() const { return spec_.q; }
 
-    /** @name ErrorModel @{ */
-    void sample(Rng &rng, ErrorState &state) const override;
-    double physicalRate() const override;
-    std::string name() const override;
-    double measurementFlipRate() const override { return q_.rate(); }
-    void flipMeasurements(Rng &rng, Syndrome &syndrome) const override;
-    bool producesX() const override;
-    /** @} */
-
-    std::size_t numChannels() const { return channels_.size(); }
-    const NoiseChannel &channel(std::size_t i) const;
+    /**
+     * Whether the channel can produce X error components (callers use
+     * this to decide if an X-family decoder is required).
+     */
+    bool producesX() const { return spec_.kind != NoiseKind::Dephasing; }
 
     /** @name Named factories @{ */
     static NoiseModel depolarizing(double p, double q = 0.0);
@@ -103,17 +116,12 @@ class NoiseModel : public ErrorModel
     static NoiseModel erasure(double p, double q = 0.0);
     /** @} */
 
-    /** Instantiate @p spec at physical rate @p p. */
-    static NoiseModel fromSpec(const NoiseSpec &spec, double p);
-
   private:
-    std::vector<std::unique_ptr<NoiseChannel>> channels_;
-    MeasurementFlipChannel q_{0.0};
+    NoiseSpec spec_;
+    double p_;
+    std::uint64_t pThresh_; ///< Rng::threshold(p), hot-loop coin
+    std::uint64_t qThresh_; ///< Rng::threshold(q), hot-loop coin
 };
-
-/** Heap form of fromSpec (engine shards own their model). */
-std::unique_ptr<NoiseModel> makeNoiseModel(const NoiseSpec &spec,
-                                           double p);
 
 } // namespace nisqpp
 

@@ -19,8 +19,8 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "decoders/decoder.hh"
+#include "noise/noise_model.hh"
 #include "obs/metrics.hh"
-#include "surface/error_model.hh"
 #include "surface/logical.hh"
 #include "surface/syndrome_window.hh"
 
@@ -130,7 +130,7 @@ class LifetimeSimulator
      *                 same thread; null = allocate a private one.
      */
     LifetimeSimulator(const SurfaceLattice &lattice,
-                      const ErrorModel &model, Decoder &zDecoder,
+                      const NoiseModel &model, Decoder &zDecoder,
                       Decoder *xDecoder, std::uint64_t seed,
                       TrialWorkspace *workspace = nullptr);
 
@@ -174,7 +174,6 @@ class LifetimeSimulator
      * telemetry is not collected in windowed mode.
      */
     void setMeasurementWindow(int rounds);
-    int measurementWindow() const { return windowRounds_; }
 
     /** Run @p rule-governed trials and aggregate. */
     MonteCarloResult run(const StopRule &rule);
@@ -192,7 +191,7 @@ class LifetimeSimulator
                          MonteCarloResult &acc) const;
 
     const SurfaceLattice &lattice_;
-    const ErrorModel &model_;
+    const NoiseModel &model_;
     Decoder &zDecoder_;
     Decoder *xDecoder_;
     Rng rng_;

@@ -5,7 +5,7 @@
 namespace nisqpp {
 
 SyndromeStream::SyndromeStream(const SurfaceLattice &lattice,
-                               const ErrorModel &model, ErrorType type,
+                               const NoiseModel &model, ErrorType type,
                                std::uint64_t seed, double cycleNs)
     : lattice_(lattice), model_(model), type_(type), rng_(seed),
       cycleNs_(cycleNs), state_(lattice), syndrome_(lattice, type)

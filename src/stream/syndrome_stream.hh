@@ -5,7 +5,7 @@
  * paper's lifetime protocol physics (persistent error state, stochastic
  * injection each round). Extraction is perfect for models with
  * measurement flip rate q = 0 and noisy otherwise: each emitted round
- * is corrupted through ErrorModel::flipMeasurements, which is what
+ * is corrupted through NoiseModel::flipMeasurements, which is what
  * forces the windowed multi-round decoding regime the paper's
  * continuous-stream argument is about. The producer never waits for
  * the decoder — syndrome generation is a property of the quantum
@@ -19,7 +19,7 @@
 #include <cstdint>
 
 #include "common/rng.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 
@@ -42,7 +42,7 @@ class SyndromeStream
      * @param seed    Master seed; streams are exactly reproducible.
      * @param cycleNs Simulated syndrome generation cycle time.
      */
-    SyndromeStream(const SurfaceLattice &lattice, const ErrorModel &model,
+    SyndromeStream(const SurfaceLattice &lattice, const NoiseModel &model,
                    ErrorType type, std::uint64_t seed, double cycleNs);
 
     /**
@@ -74,7 +74,7 @@ class SyndromeStream
 
   private:
     const SurfaceLattice &lattice_;
-    const ErrorModel &model_;
+    const NoiseModel &model_;
     ErrorType type_;
     Rng rng_;
     double cycleNs_;

@@ -92,6 +92,24 @@ else()
   message(STATUS "decimal_seed: ok")
 endif()
 
+# --batch reaches the tiered_decode stream cells, whose results are
+# byte-identical at any decode group size.
+set(tiered_args tiered_decode --trials-scale 0.05 --format csv)
+execute_process(COMMAND ${NISQPP_RUN} ${tiered_args} --batch 64
+                RESULT_VARIABLE batch64_rc OUTPUT_VARIABLE batch64_out
+                ERROR_QUIET)
+execute_process(COMMAND ${NISQPP_RUN} ${tiered_args} --batch 1
+                RESULT_VARIABLE batch1_rc OUTPUT_VARIABLE batch1_out
+                ERROR_QUIET)
+if(NOT batch64_rc EQUAL 0 OR NOT batch1_rc EQUAL 0 OR
+   NOT batch64_out STREQUAL batch1_out)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "tiered_batch: --batch 64 (exit ${batch64_rc}) must "
+                  "print the --batch 1 (exit ${batch1_rc}) CSV")
+else()
+  message(STATUS "tiered_batch: ok")
+endif()
+
 check_cli(missing_scenario FALSE ERR
           "usage: nisqpp_run"
           --threads 2)

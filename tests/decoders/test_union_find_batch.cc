@@ -20,7 +20,7 @@
 #include "common/simd.hh"
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"
-#include "noise/channels.hh"
+#include "noise/noise_model.hh"
 #include "obs/metrics.hh"
 #include "surface/error_state.hh"
 #include "support/reference_union_find.hh"
@@ -47,17 +47,10 @@ class WidthGuard
     simd::Width before_;
 };
 
-/** One composable channel per family the noise subsystem offers. */
-std::vector<std::unique_ptr<NoiseChannel>>
-allChannels(double p)
-{
-    std::vector<std::unique_ptr<NoiseChannel>> out;
-    out.push_back(std::make_unique<DepolarizingChannel>(p));
-    out.push_back(std::make_unique<DephasingChannel>(p));
-    out.push_back(std::make_unique<BiasedEtaChannel>(p, 3.0));
-    out.push_back(std::make_unique<ErasureChannel>(p));
-    return out;
-}
+/** One spec per channel kind the noise layer offers. */
+const NoiseSpec kAllChannels[] = {
+    NoiseSpec::depolarizing(), NoiseSpec::dephasing(),
+    NoiseSpec::biased(3.0), NoiseSpec::erasure()};
 
 /**
  * Sample @p count syndromes of channel-generated error states. The
@@ -65,7 +58,7 @@ allChannels(double p)
  * carries trivially finished lanes next to active ones.
  */
 std::vector<Syndrome>
-sampleSyndromes(const SurfaceLattice &lat, const NoiseChannel &channel,
+sampleSyndromes(const SurfaceLattice &lat, const NoiseModel &model,
                 ErrorType type, int count, Rng &rng)
 {
     std::vector<Syndrome> out;
@@ -74,7 +67,7 @@ sampleSyndromes(const SurfaceLattice &lat, const NoiseChannel &channel,
         Syndrome syn(lat, type);
         if (i != 0 && i != count / 2) {
             state.clear();
-            channel.sampleInto(rng, state);
+            model.sample(rng, state);
             extractSyndromeInto(state, type, syn);
         }
         out.push_back(std::move(syn));
@@ -198,9 +191,10 @@ TEST(UnionFindBatch, MatchesReferenceAcrossDistancesAndChannels)
         WidthGuard guard(w);
         for (int d : {3, 5, 7, 9}) {
             SurfaceLattice lat(d);
-            for (const auto &channel : allChannels(0.08)) {
+            for (const NoiseSpec &spec : kAllChannels) {
+                const NoiseModel model(spec, 0.08);
                 for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
-                    if (type == ErrorType::X && !channel->producesX())
+                    if (type == ErrorType::X && !model.producesX())
                         continue;
                     ReferenceUnionFind ref(lat, type);
                     UnionFindDecoder batched(lat, type);
@@ -208,11 +202,11 @@ TEST(UnionFindBatch, MatchesReferenceAcrossDistancesAndChannels)
                     // 2.5 chunks of the widest engine so every width
                     // exercises chunk boundaries and a ragged tail.
                     const auto syns = sampleSyndromes(
-                        lat, *channel, type, 160, rng);
+                        lat, model, type, 160, rng);
                     expectBatchMatchesReference(
                         batched, ref, syns,
                         "d=" + std::to_string(d) + " " +
-                            channel->name() + " " +
+                            noiseKindName(spec.kind) + " " +
                             simd::widthName(w) +
                             (type == ErrorType::Z ? " Z" : " X"));
                 }
@@ -241,8 +235,8 @@ TEST(UnionFindBatch, HeavySyndromesAndRepeatedBatches)
                 // Heavy (p up to 30%) rounds grow clusters that
                 // merge, touch the boundary and peel long chains.
                 state.clear();
-                DephasingChannel(0.02 + 0.28 * rng.uniform())
-                    .sampleInto(rng, state);
+                NoiseModel::dephasing(0.02 + 0.28 * rng.uniform())
+                    .sample(rng, state);
                 extractSyndromeInto(state, ErrorType::Z, syn);
                 syns.push_back(std::move(syn));
             }
@@ -264,12 +258,12 @@ TEST(UnionFindBatch, ErasureMarkedLatticeStillMatches)
         WidthGuard guard(w);
         for (int d : {5, 9}) {
             SurfaceLattice lat(d);
-            ErasureChannel channel(0.12);
+            const NoiseModel model = NoiseModel::erasure(0.12);
             for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
                 ReferenceUnionFind ref(lat, type);
                 UnionFindDecoder batched(lat, type);
                 const auto syns =
-                    sampleSyndromes(lat, channel, type, 40, rng);
+                    sampleSyndromes(lat, model, type, 40, rng);
                 expectBatchMatchesReference(
                     batched, ref, syns,
                     "erasure d=" + std::to_string(d));
@@ -284,17 +278,15 @@ TEST(UnionFindBatch, ErasureMarkedLatticeStillMatches)
  */
 void
 buildNoisyWindow(const SurfaceLattice &lat, int w,
-                 const NoiseChannel &channel,
-                 const MeasurementFlipChannel &meas, Rng &rng,
-                 SyndromeWindow &win)
+                 const NoiseModel &model, Rng &rng, SyndromeWindow &win)
 {
     win.reset();
     ErrorState state(lat);
     Syndrome syn(lat, ErrorType::Z);
     for (int t = 0; t < w; ++t) {
-        channel.sampleInto(rng, state);
+        model.sample(rng, state);
         extractSyndromeInto(state, ErrorType::Z, syn);
-        meas.corrupt(rng, syn);
+        model.flipMeasurements(rng, syn);
         win.recordRound(t, syn);
     }
     extractSyndromeInto(state, ErrorType::Z, syn);
@@ -307,12 +299,11 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesReference)
     // decodeWindowBatch must match the reference window for window,
     // including windows whose detection-event sets are empty.
     Rng rng(0x77a11ULL);
-    const MeasurementFlipChannel meas(0.03);
     for (simd::Width w : kWidths) {
         WidthGuard guard(w);
         for (int d : {3, 5, 7}) {
             SurfaceLattice lat(d);
-            const DephasingChannel channel(0.04);
+            const NoiseModel model = NoiseModel::dephasing(0.04, 0.03);
             UnionFindDecoder scalar(lat, ErrorType::Z);
             UnionFindDecoder batched(lat, ErrorType::Z);
 
@@ -323,7 +314,7 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesReference)
                 if (i == 0 || i == d)
                     win->reset(); // empty window: zero events
                 else
-                    buildNoisyWindow(lat, d, channel, meas, rng, *win);
+                    buildNoisyWindow(lat, d, model, rng, *win);
                 windows.push_back(std::move(win));
             }
             expectWindowsMatchReference(
@@ -340,8 +331,7 @@ TEST(UnionFindBatch, MixedRoundWindowsFallBackConsistently)
     // the base-class loop — still equal to the reference.
     Rng rng(0x2ea7ULL);
     SurfaceLattice lat(5);
-    const DephasingChannel channel(0.05);
-    const MeasurementFlipChannel meas(0.02);
+    const NoiseModel model = NoiseModel::dephasing(0.05, 0.02);
     UnionFindDecoder scalar(lat, ErrorType::Z);
     UnionFindDecoder batched(lat, ErrorType::Z);
 
@@ -349,7 +339,7 @@ TEST(UnionFindBatch, MixedRoundWindowsFallBackConsistently)
     for (int rounds : {3, 6, 3, 4}) {
         auto win = std::make_unique<SyndromeWindow>(lat, ErrorType::Z,
                                                     rounds + 1);
-        buildNoisyWindow(lat, rounds, channel, meas, rng, *win);
+        buildNoisyWindow(lat, rounds, model, rng, *win);
         windows.push_back(std::move(win));
     }
     expectWindowsMatchReference(scalar, batched, windows, "mixed-round");
@@ -368,8 +358,8 @@ TEST(UnionFindBatch, CorrectionClearsSyndromeHolds)
     Syndrome syn(lat, ErrorType::Z);
     for (int trial = 0; trial < 200; ++trial) {
         state.clear();
-        DephasingChannel(0.01 + 0.2 * rng.uniform())
-            .sampleInto(rng, state);
+        NoiseModel::dephasing(0.01 + 0.2 * rng.uniform())
+            .sample(rng, state);
         extractSyndromeInto(state, ErrorType::Z, syn);
         dec.decode(syn, ws);
         ws.correction.applyTo(state, ErrorType::Z);

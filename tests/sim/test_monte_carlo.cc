@@ -15,7 +15,7 @@ namespace {
 TEST(MonteCarlo, DeterministicForSeed)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.05);
+    const NoiseModel model = NoiseModel::dephasing(0.05);
     MeshDecoder dec1(lat, ErrorType::Z), dec2(lat, ErrorType::Z);
     LifetimeSimulator sim1(lat, model, dec1, nullptr, 99);
     LifetimeSimulator sim2(lat, model, dec2, nullptr, 99);
@@ -29,7 +29,7 @@ TEST(MonteCarlo, DeterministicForSeed)
 TEST(MonteCarlo, ZeroNoiseZeroFailures)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.0);
+    const NoiseModel model = NoiseModel::dephasing(0.0);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 1);
     StopRule rule{200, 200, 1u << 30};
@@ -41,7 +41,7 @@ TEST(MonteCarlo, ZeroNoiseZeroFailures)
 TEST(MonteCarlo, EarlyStopOnTargetFailures)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.2);
+    const NoiseModel model = NoiseModel::dephasing(0.2);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 5);
     StopRule rule{100, 100000, 50};
@@ -53,7 +53,7 @@ TEST(MonteCarlo, EarlyStopOnTargetFailures)
 TEST(MonteCarlo, CollectsMeshCycleStats)
 {
     SurfaceLattice lat(5);
-    DephasingModel model(0.05);
+    const NoiseModel model = NoiseModel::dephasing(0.05);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 7);
     StopRule rule{300, 300, 1u << 30};
@@ -66,7 +66,7 @@ TEST(MonteCarlo, CollectsMeshCycleStats)
 TEST(MonteCarlo, SoftwareDecoderHasNoCycleStats)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.05);
+    const NoiseModel model = NoiseModel::dephasing(0.05);
     MwpmDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 7);
     StopRule rule{100, 100, 1u << 30};
@@ -77,7 +77,7 @@ TEST(MonteCarlo, SoftwareDecoderHasNoCycleStats)
 TEST(MonteCarlo, DepolarizingNeedsXDecoder)
 {
     SurfaceLattice lat(3);
-    DepolarizingModel model(0.1);
+    const NoiseModel model = NoiseModel::depolarizing(0.1);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 7);
     EXPECT_DEATH(sim.run({50, 50, ~std::size_t{0}}), "no X decoder");
@@ -86,7 +86,7 @@ TEST(MonteCarlo, DepolarizingNeedsXDecoder)
 TEST(MonteCarlo, DepolarizingWithBothDecoders)
 {
     SurfaceLattice lat(3);
-    DepolarizingModel model(0.05);
+    const NoiseModel model = NoiseModel::depolarizing(0.05);
     MeshDecoder dz(lat, ErrorType::Z);
     MeshDecoder dx(lat, ErrorType::X);
     LifetimeSimulator sim(lat, model, dz, &dx, 7);
@@ -101,7 +101,7 @@ TEST(MonteCarlo, MergeMatchesOneLongRun)
     // aggregate exactly like running the same two shards into one
     // accumulator sequentially.
     SurfaceLattice lat(3);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     StopRule half{250, 250, 1u << 30};
 
     MeshDecoder d1(lat, ErrorType::Z), d2(lat, ErrorType::Z);
@@ -124,7 +124,7 @@ TEST(MonteCarlo, MergeMatchesOneLongRun)
 TEST(MonteCarlo, MergeIntoDefaultAccumulator)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 43);
     const MonteCarloResult shard = sim.run({100, 100, 1u << 30});
@@ -190,7 +190,7 @@ TEST(MonteCarlo, ScaledByEnvRejectsMalformedValues)
 TEST(MonteCarlo, WilsonIntervalBracketsRate)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.1);
+    const NoiseModel model = NoiseModel::dephasing(0.1);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 3);
     StopRule rule{1000, 1000, 1u << 30};
@@ -206,7 +206,7 @@ TEST(MonteCarlo, BatchLanesPreserveAggregates)
     // loop, so every aggregate is byte-identical for any group size —
     // including odd ones that straddle run boundaries.
     SurfaceLattice lat(5);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     const StopRule rule{301, 301, ~std::size_t{0}};
 
     MeshDecoder scalar_dec(lat, ErrorType::Z);
@@ -224,7 +224,7 @@ TEST(MonteCarlo, BatchLanesPreserveAggregates)
 TEST(MonteCarlo, BatchedDepolarizingRunsBothFamilies)
 {
     SurfaceLattice lat(3);
-    DepolarizingModel model(0.06);
+    const NoiseModel model = NoiseModel::depolarizing(0.06);
     const StopRule rule{250, 250, ~std::size_t{0}};
 
     MeshDecoder z1(lat, ErrorType::Z), x1(lat, ErrorType::X);
@@ -242,7 +242,7 @@ TEST(MonteCarlo, BatchedEarlyStopMatchesScalar)
     // The stop rule can trip mid-group; the surplus lanes must be
     // discarded so counters match the scalar loop exactly.
     SurfaceLattice lat(3);
-    DephasingModel model(0.15);
+    const NoiseModel model = NoiseModel::dephasing(0.15);
     const StopRule rule{10, 4000, 25};
 
     MeshDecoder d1(lat, ErrorType::Z);
@@ -262,7 +262,7 @@ TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
     // Lifetime mode carries state across rounds, so the knob must be
     // a no-op there rather than a protocol change.
     SurfaceLattice lat(3);
-    DephasingModel model(0.1);
+    const NoiseModel model = NoiseModel::dephasing(0.1);
     const StopRule rule{200, 200, ~std::size_t{0}};
 
     MeshDecoder d1(lat, ErrorType::Z);
@@ -280,7 +280,7 @@ TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
 TEST(MonteCarlo, BatchedSoftwareDecoderUsesFallbackLoop)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     const StopRule rule{200, 200, ~std::size_t{0}};
 
     MwpmDecoder d1(lat, ErrorType::Z);

@@ -7,7 +7,7 @@
 
 #include "common/rng.hh"
 #include "support/stabilizer_circuit.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 
 namespace nisqpp {
 namespace {
@@ -24,7 +24,7 @@ TEST_P(CircuitParam, MatchesDirectExtractionOnRandomErrors)
     const int d = GetParam();
     SurfaceLattice lat(d);
     StabilizerCircuit circuit(lat);
-    DepolarizingModel model(0.15);
+    const NoiseModel model = NoiseModel::depolarizing(0.15);
     Rng rng(0xfeedULL + d);
     for (int trial = 0; trial < 100; ++trial) {
         ErrorState st(lat);
