@@ -26,7 +26,45 @@ using simd::elementsOf;
 using simd::elemOf;
 using simd::orElem;
 
+/** decode() / decodeBatch(): trials in array order, on any lane. */
+struct ArrayFeed
+{
+    const Syndrome *const *syndromes;
+    Correction *outs;
+    MeshDecodeStats *stats;
+    int count;
+    int next = 0;
+
+    bool
+    take(int, const Syndrome *&syn, Correction *&out,
+         MeshDecodeStats *&st)
+    {
+        if (next >= count)
+            return false;
+        syn = syndromes[next];
+        out = &outs[next];
+        st = &stats[next];
+        ++next;
+        return true;
+    }
+
+    void done(int) {}
+};
+
 } // namespace
+
+void
+MeshWorkCounters::exportTo(obs::MetricSet &out) const
+{
+    if (decodes == 0)
+        return;
+    out.add("decoder.mesh.decodes", decodes);
+    out.add("decoder.mesh.cycles", cycles);
+    out.add("decoder.mesh.pairings", pairings);
+    out.add("decoder.mesh.resets", resets);
+    out.add("decoder.mesh.cycles_capped", capped);
+    out.add("decoder.mesh.quiesced", quiesced);
+}
 
 template <typename W>
 void
@@ -395,11 +433,27 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
 void
 MeshDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
 {
-    ws.correction.clear();
     const Syndrome *syn = &syndrome;
-    Correction *out = &ws.correction;
     batchStats_.resize(1);
-    decodeLanes(scalar_, &syn, 1, &out, batchStats_.data());
+    ArrayFeed feed{&syn, &ws.correction, batchStats_.data(), 1};
+    decodeLanes(scalar_, feed);
+}
+
+template <typename Feed>
+void
+MeshDecoder::decodeOnBatchEngine(Feed &feed)
+{
+    switch (width_) {
+      case simd::Width::Scalar:
+        decodeLanes(batch64_, feed);
+        break;
+      case simd::Width::V256:
+        decodeLanes(batch256_, feed);
+        break;
+      case simd::Width::V512:
+        decodeLanes(batch512_, feed);
+        break;
+    }
 }
 
 void
@@ -411,25 +465,53 @@ MeshDecoder::decodeBatch(const Syndrome *const *syndromes,
     if (ws.laneCorrections.size() < count)
         ws.laneCorrections.resize(count);
     batchStats_.resize(count);
-    outScratch_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        ws.laneCorrections[i].clear();
-        outScratch_[i] = &ws.laneCorrections[i];
-    }
-    switch (width_) {
-      case simd::Width::Scalar:
-        decodeLanes(batch64_, syndromes, static_cast<int>(count),
-                    outScratch_.data(), batchStats_.data());
-        break;
-      case simd::Width::V256:
-        decodeLanes(batch256_, syndromes, static_cast<int>(count),
-                    outScratch_.data(), batchStats_.data());
-        break;
-      case simd::Width::V512:
-        decodeLanes(batch512_, syndromes, static_cast<int>(count),
-                    outScratch_.data(), batchStats_.data());
-        break;
-    }
+    ArrayFeed feed{syndromes, ws.laneCorrections.data(),
+                   batchStats_.data(), static_cast<int>(count)};
+    decodeOnBatchEngine(feed);
+}
+
+void
+MeshDecoder::decodeFeed(LaneFeed &feed, int lanes, TrialWorkspace &ws)
+{
+    require(lanes >= 1 && lanes <= batchLanes_,
+            "MeshDecoder::decodeFeed: lanes outside [1, lanes()]");
+    const auto count = static_cast<std::size_t>(lanes);
+    if (ws.laneCorrections.size() < count)
+        ws.laneCorrections.resize(count);
+    batchStats_.resize(count);
+
+    // Lane l of the engine is lane l of the feed; lanes past @p lanes
+    // never take a trial.
+    struct Adapter
+    {
+        LaneFeed &feed;
+        Correction *outs;
+        MeshDecodeStats *stats;
+        int lanes;
+
+        bool
+        take(int lane, const Syndrome *&syn, Correction *&out,
+             MeshDecodeStats *&st)
+        {
+            const Syndrome *next = lane < lanes ? feed.next(lane)
+                                                : nullptr;
+            if (!next)
+                return false;
+            syn = next;
+            out = &outs[lane];
+            st = &stats[lane];
+            return true;
+        }
+
+        void done(int lane) { feed.done(lane, outs[lane], &stats[lane]); }
+    } adapter{feed, ws.laneCorrections.data(), batchStats_.data(), lanes};
+
+    // One lane steps the plain 64-bit engine: a lone lifetime pays
+    // nothing for the packed word.
+    if (lanes == 1)
+        decodeLanes(scalar_, adapter);
+    else
+        decodeOnBatchEngine(adapter);
 }
 
 const MeshDecodeStats *
@@ -441,14 +523,7 @@ MeshDecoder::meshStats(std::size_t lane) const
 void
 MeshDecoder::exportMetrics(obs::MetricSet &out) const
 {
-    if (decodes_ == 0)
-        return;
-    out.add("decoder.mesh.decodes", decodes_);
-    out.add("decoder.mesh.cycles", cyclesTotal_);
-    out.add("decoder.mesh.pairings", pairingsTotal_);
-    out.add("decoder.mesh.resets", resetsTotal_);
-    out.add("decoder.mesh.cycles_capped", cappedTotal_);
-    out.add("decoder.mesh.quiesced", quiescedTotal_);
+    work_.exportTo(out);
 }
 
 template <typename W>
@@ -458,18 +533,11 @@ MeshDecoder::finishLane(LaneEngine<W> &e, int lane, Correction &out,
 {
     stats.remainingHot = e.hotCount[lane];
 
-    // Every completed trial — scalar or batched — retires through
+    // Every completed trial — scalar, batched or fed — retires through
     // here exactly once, so this is the single accumulation point for
     // the deterministic work counters (stats.cycles and the exit
     // flags are final by now; pairings/resets latched in stepLanes).
-    ++decodes_;
-    cyclesTotal_ += static_cast<std::uint64_t>(stats.cycles);
-    pairingsTotal_ += static_cast<std::uint64_t>(stats.pairings);
-    resetsTotal_ += static_cast<std::uint64_t>(stats.resets);
-    if (stats.timedOut)
-        ++cappedTotal_;
-    if (stats.quiesced)
-        ++quiescedTotal_;
+    work_.add(stats);
 
     // Harvest this lane's chain bits into data-qubit flips (ascending
     // row, then column — identical to the scalar readout order).
@@ -506,11 +574,9 @@ MeshDecoder::finishLane(LaneEngine<W> &e, int lane, Correction &out,
     e.prOcc &= keep; // the lane's pair pulses are gone with it
 }
 
-template <typename W>
+template <typename W, typename Feed>
 void
-MeshDecoder::decodeLanes(LaneEngine<W> &e,
-                         const Syndrome *const *syndromes, int count,
-                         Correction *const *outs, MeshDecodeStats *stats)
+MeshDecoder::decodeLanes(LaneEngine<W> &e, Feed &feed)
 {
     for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
         for (auto &plane : *planes)
@@ -527,7 +593,7 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e,
     MeshDecodeStats dummy;
     std::array<MeshDecodeStats *, kMaxLanes> laneStats;
     std::array<Correction *, kMaxLanes> laneOut{};
-    std::array<int, kMaxLanes> start{};
+    std::array<std::int64_t, kMaxLanes> start{};
     for (int l = 0; l < e.lanes; ++l) {
         laneStats[l] = &dummy;
         e.active[l] = false;
@@ -536,37 +602,34 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e,
         e.hotCount[l] = 0;
     }
 
-    int next = 0; ///< next trial to inject
-    int done = 0; ///< trials finished
-    while (done < count) {
+    for (;;) {
+        bool busy = false;
         for (int l = 0; l < e.lanes; ++l) {
             // Retire-and-refill loop: a lane may complete an injected
             // empty syndrome instantly and take another in the same
             // cycle.
             for (;;) {
                 if (!e.active[l]) {
-                    if (next >= count)
+                    const Syndrome *syn = nullptr;
+                    if (!feed.take(l, syn, laneOut[l], laneStats[l]))
                         break;
-                    const Syndrome &syn = *syndromes[next];
-                    require(syn.type() == type(),
+                    require(syn->type() == type(),
                             "MeshDecoder: syndrome type mismatch");
-                    stats[next] = MeshDecodeStats{};
-                    laneStats[l] = &stats[next];
-                    laneOut[l] = outs[next];
+                    *laneStats[l] = MeshDecodeStats{};
+                    laneOut[l]->clear();
                     start[l] = e.cycle;
                     e.lastFire[l] = e.cycle;
-                    e.hotCount[l] = syn.weight();
+                    e.hotCount[l] = syn->weight();
                     e.active[l] = true;
                     const int el = e.laneElem[l];
                     const int base = e.laneBase[l];
-                    syn.forEachHot([&](int a) {
+                    syn->forEachHot([&](int a) {
                         const Coord rc =
                             lattice().ancillaCoord(type(), a);
                         orElem(e.hot[rc.row + 1], el,
                                std::uint64_t{1}
                                    << (base + rc.col + 1));
                     });
-                    ++next;
                 }
                 const bool pr_empty =
                     !(elemOf(e.prOcc, e.laneElem[l]) & e.laneSub[l]);
@@ -579,13 +642,15 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e,
                 } else {
                     break; // still stepping
                 }
-                laneStats[l]->cycles = e.cycle - start[l];
+                laneStats[l]->cycles =
+                    static_cast<int>(e.cycle - start[l]);
                 finishLane(e, l, *laneOut[l], *laneStats[l]);
                 laneStats[l] = &dummy;
-                ++done;
+                feed.done(l);
             }
+            busy |= e.active[l];
         }
-        if (done >= count)
+        if (!busy)
             break;
         stepLanes(e, laneStats.data());
     }

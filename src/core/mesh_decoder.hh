@@ -38,7 +38,10 @@
  * per trial is one L-th of a mesh step per cycle. Every lane's
  * corrections and telemetry are bit-identical to a scalar decode of
  * the same syndrome; the scalar decode() runs the same stepping core
- * with a single lane in a plain 64-bit word.
+ * with a single lane in a plain 64-bit word. decode(), decodeBatch()
+ * and decodeFeed() are feeds over that one loop; decodeFeed() lets the
+ * caller pick each lane's next syndrome after its last correction,
+ * which is how independent lifetimes share one engine.
  */
 
 #ifndef NISQPP_CORE_MESH_DECODER_HH
@@ -74,10 +77,10 @@ class MeshDecoder : public Decoder
     void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
 
     /**
-     * Lane-packed batch decode: up to batchLanes() syndromes advance
+     * Lane-packed batch decode: up to lanes() syndromes advance
      * through the mesh planes together, one lane each, and every
      * freed lane is refilled from the remaining batch, so @p count
-     * may (and for throughput should) exceed batchLanes().
+     * may (and for throughput should) exceed lanes().
      * Corrections land in ws.laneCorrections[0..count), per-lane
      * telemetry in meshStats(lane) — both bit-identical to scalar
      * decodes of the same syndromes.
@@ -85,13 +88,26 @@ class MeshDecoder : public Decoder
     void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
                      TrialWorkspace &ws) override;
 
+    /**
+     * Trials the batch engine steps concurrently: elements(lane word)
+     * x (64 / span), capped at kMaxLanes.
+     */
+    int lanes() const override { return batchLanes_; }
+
+    /**
+     * Feed-driven decode: one lane runs on the one-lane engine, more
+     * on the latched batch engine. Lane l's correction is
+     * ws.laneCorrections[l] and its telemetry meshStats(l) while
+     * done(l) runs.
+     */
+    void decodeFeed(LaneFeed &feed, int lanes, TrialWorkspace &ws) override;
+
     const MeshDecodeStats *meshStats(std::size_t lane = 0) const override;
 
     /**
      * Emit `decoder.mesh.*` work counters accumulated since
-     * construction: decode counts, total mesh cycles/pairings/resets,
-     * and the cap (`decoder.mesh.cycles_capped`) and quiescence exit
-     * counts. Scalar and batched decodes accumulate identically.
+     * construction (MeshWorkCounters::exportTo). Scalar, batched and
+     * feed-driven decodes accumulate identically.
      */
     void exportMetrics(obs::MetricSet &out) const override;
 
@@ -104,12 +120,6 @@ class MeshDecoder : public Decoder
 
     /** Telemetry of the most recent decode (lane 0 of a batch). */
     const MeshDecodeStats &lastStats() const { return batchStats_[0]; }
-
-    /**
-     * Trials the batch engine steps concurrently: elements(lane word)
-     * x (64 / span), capped at kMaxLanes.
-     */
-    int batchLanes() const { return batchLanes_; }
 
     /** Lane word width the batch engine was latched to (telemetry). */
     simd::Width batchWidth() const { return width_; }
@@ -150,8 +160,8 @@ class MeshDecoder : public Decoder
      * per-lane control state. LaneEngine<uint64_t> serves scalar
      * decode() with a single lane (bit layout identical to the
      * historical scalar decoder) and the LaneEngine<simd::W64/W256/
-     * W512> latched at construction packs batchLanes() trials — and
-     * all run the exact same (templated) stepping code. All per-lane
+     * W512> latched at construction packs lanes() trials — and all
+     * run the exact same (templated) stepping code. All per-lane
      * control state is *relative* to the lane's own start cycle, which
      * is what lets decodeLanes() refill a freed lane with the next
      * pending trial mid-flight.
@@ -187,11 +197,13 @@ class MeshDecoder : public Decoder
         std::vector<W> fire; ///< per-step scratch (no allocation)
 
         // Per-lane control state: diverging lanes freeze independently.
+        // Cycles are 64-bit: a feed-driven loop may step one engine
+        // through a whole lattice's lifetimes.
         std::array<int, kMaxLanes> resetCountdown{};
-        std::array<int, kMaxLanes> lastFire{};
+        std::array<std::int64_t, kMaxLanes> lastFire{};
         std::array<int, kMaxLanes> hotCount{};
         std::array<bool, kMaxLanes> active{};
-        int cycle = 0;
+        std::int64_t cycle = 0;
         W prOcc{}; ///< pair-plane occupancy after the last step
     };
 
@@ -202,10 +214,18 @@ class MeshDecoder : public Decoder
     template <typename W>
     void finishLane(LaneEngine<W> &e, int lane, Correction &out,
                     MeshDecodeStats &stats);
-    template <typename W>
-    void decodeLanes(LaneEngine<W> &e,
-                     const Syndrome *const *syndromes, int count,
-                     Correction *const *outs, MeshDecodeStats *stats);
+    /**
+     * The one lane loop: inject each idle lane's next trial from
+     * @p feed, step every lane one cycle, retire finished lanes, until
+     * the feed runs dry with every lane idle. Feed::take(lane, syn,
+     * out, stats) claims a trial (false: none now) and Feed::done(lane)
+     * retires it; templated so decode() pays no virtual call.
+     */
+    template <typename W, typename Feed>
+    void decodeLanes(LaneEngine<W> &e, Feed &feed);
+    /** decodeLanes() on the latched width's batch engine. */
+    template <typename Feed>
+    void decodeOnBatchEngine(Feed &feed);
 
     MeshConfig config_;
     int span_;      ///< grid size + 2 (boundary ring included)
@@ -228,17 +248,8 @@ class MeshDecoder : public Decoder
     /** Telemetry of the last decode, one entry per lane decoded. */
     std::vector<MeshDecodeStats> batchStats_{1};
 
-    /** Deterministic work counters (see exportMetrics). @{ */
-    std::uint64_t decodes_ = 0;
-    std::uint64_t cyclesTotal_ = 0;
-    std::uint64_t pairingsTotal_ = 0;
-    std::uint64_t resetsTotal_ = 0;
-    std::uint64_t cappedTotal_ = 0;
-    std::uint64_t quiescedTotal_ = 0;
-    /** @} */
-
-    /** decodeBatch() per-trial output pointers (reused, no alloc). */
-    std::vector<Correction *> outScratch_;
+    /** Deterministic work counters (see exportMetrics). */
+    MeshWorkCounters work_;
 };
 
 } // namespace nisqpp

@@ -10,7 +10,13 @@
 #ifndef NISQPP_CORE_MESH_STATS_HH
 #define NISQPP_CORE_MESH_STATS_HH
 
+#include <cstdint>
+
 namespace nisqpp {
+
+namespace obs {
+class MetricSet;
+}
 
 /** Telemetry from one mesh decode (one lane of a batched decode). */
 struct MeshDecodeStats
@@ -30,6 +36,39 @@ struct MeshDecodeStats
     }
 
     bool operator==(const MeshDecodeStats &o) const = default;
+};
+
+/**
+ * Deterministic mesh work counters summed over decodes: what a
+ * MeshDecoder accumulates since construction, and what a lane-packed
+ * lifetime tallies from its own decodes alone.
+ */
+struct MeshWorkCounters
+{
+    std::uint64_t decodes = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t pairings = 0;
+    std::uint64_t resets = 0;
+    std::uint64_t capped = 0;   ///< exits via the cycle cap
+    std::uint64_t quiesced = 0; ///< exits via the no-progress window
+
+    void
+    add(const MeshDecodeStats &stats)
+    {
+        ++decodes;
+        cycles += static_cast<std::uint64_t>(stats.cycles);
+        pairings += static_cast<std::uint64_t>(stats.pairings);
+        resets += static_cast<std::uint64_t>(stats.resets);
+        capped += stats.timedOut ? 1 : 0;
+        quiesced += stats.quiesced ? 1 : 0;
+    }
+
+    /**
+     * Add the `decoder.mesh.*` counters (decodes, cycles, pairings,
+     * resets, cycles_capped, quiesced) to @p out; nothing when no
+     * decode was counted.
+     */
+    void exportTo(obs::MetricSet &out) const;
 };
 
 } // namespace nisqpp

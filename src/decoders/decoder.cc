@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/logging.hh"
 #include "decoders/workspace.hh"
 
 namespace nisqpp {
@@ -39,6 +40,16 @@ Decoder::decodeWindowBatch(const SyndromeWindow *const *windows,
         // capacity across batches (mirrors decodeBatch).
         std::swap(ws.correction.dataFlips,
                   ws.laneCorrections[i].dataFlips);
+    }
+}
+
+void
+Decoder::decodeFeed(LaneFeed &feed, int lanes, TrialWorkspace &ws)
+{
+    require(lanes == 1, "Decoder::decodeFeed: lanes exceed lanes()");
+    while (const Syndrome *syn = feed.next(0)) {
+        decode(*syn, ws);
+        feed.done(0, ws.correction, meshStats(0));
     }
 }
 

@@ -46,6 +46,28 @@ struct Correction
 };
 
 /**
+ * Source and sink of Decoder::decodeFeed: hands each lane its next
+ * syndrome and takes the lane's correction back. A lane's next
+ * syndrome may depend on its previous correction, because done() for
+ * a lane always runs before that lane's next call to next().
+ */
+class LaneFeed
+{
+  public:
+    virtual ~LaneFeed() = default;
+
+    /** Lane @p lane's next syndrome; null when there is none now. */
+    virtual const Syndrome *next(int lane) = 0;
+
+    /**
+     * Lane @p lane finished decoding its syndrome into @p fix; @p stats
+     * is the decode's mesh telemetry (null for decoders without it).
+     */
+    virtual void done(int lane, const Correction &fix,
+                      const MeshDecodeStats *stats) = 0;
+};
+
+/**
  * Abstract decoder bound to one lattice and one error type. Decoders are
  * stateful only in reusable scratch buffers; decode() is deterministic.
  */
@@ -85,6 +107,22 @@ class Decoder
      */
     virtual void decodeBatch(const Syndrome *const *syndromes,
                              std::size_t count, TrialWorkspace &ws);
+
+    /**
+     * Trials decodeFeed() keeps in flight at once: 1, except for the
+     * lane-packed mesh.
+     */
+    virtual int lanes() const { return 1; }
+
+    /**
+     * Decode syndromes pulled from @p feed on lanes [0, @p lanes),
+     * 1 <= lanes <= lanes(), until every lane is idle and the feed has
+     * nothing more. Each decode is exactly what decode() would produce
+     * for the same syndrome. The base implementation is the scalar
+     * loop on lane 0; MeshDecoder steps the lanes together and refills
+     * each freed lane at once.
+     */
+    virtual void decodeFeed(LaneFeed &feed, int lanes, TrialWorkspace &ws);
 
     /**
      * Decode a multi-round measurement window into ws.correction: the

@@ -84,7 +84,9 @@ knobTable()
          .set = store<&RunOptions::seed>},
         {.flag = "--batch", .env = "NISQPP_BATCH",
          .kind = {Kind::Int, 1, static_cast<double>(kMaxBatchLanes)},
-         .help = "rounds per decodeBatch group (default 1 = scalar)",
+         .help = "rounds per decode group in per-round, windowed and "
+                 "stream runs (default 1 = scalar); lifetime sweeps "
+                 "lane-pack whole shards instead",
          .set = store<&RunOptions::batchLanes>},
         {.flag = "--simd", .env = "NISQPP_SIMD",
          .kind = {.type = Kind::Choice, .choices = "scalar|v256|v512"},

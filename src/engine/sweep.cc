@@ -60,15 +60,46 @@ planShards(const StopRule &rule, std::size_t shardTrials,
     return shards;
 }
 
-/** Run one shard to completion: exactly shard.trials rounds. */
+/**
+ * One trial workspace per worker thread, warm across every shard (and
+ * cell) that thread ever runs: decoders borrow all scratch from it, so
+ * steady-state decoding performs no heap allocation.
+ */
+TrialWorkspace &
+workerWorkspace()
+{
+    static thread_local TrialWorkspace workspace;
+    return workspace;
+}
+
+/** A shard's rule: exactly @p trials rounds, no early stop. */
+StopRule
+fixedRule(std::size_t trials)
+{
+    StopRule fixed;
+    fixed.minTrials = fixed.maxTrials = trials;
+    fixed.targetFailures = ~std::size_t{0};
+    return fixed;
+}
+
+/**
+ * Attach the engine's per-shard counters to a shard's result. They
+ * ride through the ordered prefix merge with it, so shards discarded
+ * past the stop index drop their counters too and the aggregate stays
+ * byte-identical at any thread count.
+ */
+void
+addShardCounters(MonteCarloResult &result)
+{
+    result.metrics.add("engine.shards");
+    result.metrics.add("engine.trials", result.trials);
+    result.metrics.add("engine.failures", result.failures);
+}
+
+/** Run one shard on decoders of its own: exactly shard.trials rounds. */
 MonteCarloResult
 runShard(const CellSpec &spec, const Shard &shard)
 {
-    // One trial workspace per worker thread, warm across every shard
-    // (and cell) that thread ever runs: decoders borrow all scratch
-    // from it, so steady-state decoding performs no heap allocation.
-    static thread_local TrialWorkspace workspace;
-
     obs::TraceSpan span(obs::Stage::Shard);
     auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
     std::unique_ptr<Decoder> x_dec;
@@ -76,24 +107,15 @@ runShard(const CellSpec &spec, const Shard &shard)
     if (model.producesX())
         x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
     LifetimeSimulator sim(*spec.lattice, model, *z_dec, x_dec.get(),
-                          shard.seed, &workspace);
+                          shard.seed, &workerWorkspace());
     sim.setLifetimeMode(spec.lifetimeMode);
     sim.setBatchLanes(spec.batchLanes);
     sim.setMeasurementWindow(spec.windowRounds);
-    StopRule fixed;
-    fixed.minTrials = fixed.maxTrials = shard.trials;
-    fixed.targetFailures = ~std::size_t{0};
-    MonteCarloResult result = sim.run(fixed);
+    MonteCarloResult result = sim.run(fixedRule(shard.trials));
 
-    // Attach this shard's deterministic work counters to the result:
-    // they ride through the ordered prefix merge with it, so shards
-    // discarded past the stop index drop their counters too and the
-    // aggregate stays byte-identical at any thread count. The decoders
-    // are shard-private, so their exported totals are exactly this
-    // shard's work.
-    result.metrics.add("engine.shards");
-    result.metrics.add("engine.trials", result.trials);
-    result.metrics.add("engine.failures", result.failures);
+    // The decoders are shard-private, so their exported totals are
+    // exactly this shard's work.
+    addShardCounters(result);
     z_dec->exportMetrics(result.metrics);
     if (x_dec)
         x_dec->exportMetrics(result.metrics);
@@ -126,6 +148,29 @@ struct Engine::CellRun
     std::atomic<std::size_t> nextShard{0}; ///< next index to claim
     std::mutex mutex;
 
+    /**
+     * Claim the next unstarted shard into @p i; false once the claim
+     * passes the end or the published stop index. Claims are
+     * sequential, so a failed claim means every lower shard is already
+     * running or done: the cell has nothing more to hand out.
+     */
+    bool claim(std::size_t &i)
+    {
+        i = nextShard.fetch_add(1, std::memory_order_relaxed);
+        return i < shards.size() &&
+               i < stopHint.load(std::memory_order_acquire);
+    }
+
+    /** Shards below the stop index not yet claimed. */
+    std::size_t unclaimed() const
+    {
+        const std::size_t start =
+            nextShard.load(std::memory_order_relaxed);
+        const std::size_t limit = std::min(
+            shards.size(), stopHint.load(std::memory_order_acquire));
+        return limit > start ? limit - start : 0;
+    }
+
     void onShardDone(std::size_t index, MonteCarloResult result)
     {
         std::lock_guard<std::mutex> lock(mutex);
@@ -143,6 +188,20 @@ struct Engine::CellRun
             }
         }
     }
+};
+
+/**
+ * Lifetime-mode cells of one lattice (and one decoder factory and
+ * noise family) whose shards share the lanes of lane-packed decoders:
+ * each group task claims shards from these cells in order.
+ */
+struct Engine::LatticeGroup
+{
+    const SurfaceLattice *lattice = nullptr;
+    const DecoderFactory *factory = nullptr;
+    bool producesX = false;
+    int lanes = 1; ///< the factory's Z decoder's lanes()
+    std::vector<CellRun *> cells; ///< in grid order
 };
 
 Engine::Engine(EngineOptions options)
@@ -171,14 +230,10 @@ Engine::pumpCell(CellRun &run)
         // the policy so stray flags never affect plain runs.
         if (checkpointEnabled_ && ckpt::interruptRequested())
             return;
-        // Claim the next unstarted shard. Claims are sequential, so
-        // once the claim passes the published stop index every lower
-        // shard is already running or done and this chain can die —
-        // the remaining budget is never submitted at all.
-        const std::size_t i =
-            run.nextShard.fetch_add(1, std::memory_order_relaxed);
-        if (i >= run.shards.size() ||
-            i >= run.stopHint.load(std::memory_order_acquire))
+        // Once a claim fails this chain can die: the remaining budget
+        // is never submitted at all.
+        std::size_t i = 0;
+        if (!run.claim(i))
             return;
         run.onShardDone(i, runShard(run.spec, run.shards[i]));
         maybeWriteCheckpoint();
@@ -187,10 +242,7 @@ Engine::pumpCell(CellRun &run)
         // chain dies once every shard below the (published) stop
         // index has been claimed; a stop racing in after this check
         // just makes the successor claim-and-exit.
-        const std::size_t limit =
-            std::min(run.shards.size(),
-                     run.stopHint.load(std::memory_order_acquire));
-        if (run.nextShard.load(std::memory_order_relaxed) < limit)
+        if (run.unclaimed() > 0)
             pumpCell(run);
     });
 }
@@ -220,17 +272,117 @@ Engine::schedulePumps(CellRun &run)
     // pool, so a finishing shard always finds a queued successor), but
     // never more than the cell still needs (a restored cell starts at
     // its frontier; a restored-stopped cell schedules nothing).
-    const std::size_t start =
-        run.nextShard.load(std::memory_order_relaxed);
-    const std::size_t limit =
-        std::min(run.shards.size(),
-                 run.stopHint.load(std::memory_order_acquire));
-    const std::size_t remaining = limit > start ? limit - start : 0;
     const std::size_t wave =
-        std::min(remaining,
+        std::min(run.unclaimed(),
                  2 * static_cast<std::size_t>(pool_->threadCount()));
     for (std::size_t i = 0; i < wave; ++i)
         pumpCell(run);
+}
+
+std::vector<std::unique_ptr<Engine::LatticeGroup>>
+Engine::scheduleRuns(std::vector<std::unique_ptr<CellRun>> &runs)
+{
+    std::vector<std::unique_ptr<LatticeGroup>> groups;
+    for (auto &run : runs) {
+        const CellSpec &spec = run->spec;
+        if (!spec.lifetimeMode) {
+            schedulePumps(*run);
+            continue;
+        }
+        const bool x =
+            NoiseModel(spec.noise, spec.physicalRate).producesX();
+        auto it = std::find_if(groups.begin(), groups.end(),
+                               [&](const auto &g) {
+                                   return g->lattice == spec.lattice &&
+                                          g->factory == spec.factory &&
+                                          g->producesX == x;
+                               });
+        if (it == groups.end()) {
+            groups.push_back(std::make_unique<LatticeGroup>());
+            groups.back()->lattice = spec.lattice;
+            groups.back()->factory = spec.factory;
+            groups.back()->producesX = x;
+            it = groups.end() - 1;
+        }
+        (*it)->cells.push_back(run.get());
+    }
+
+    // Probe each group's lane count in grid order, then dispatch the
+    // largest distance first: its groups run longest.
+    for (auto &group : groups)
+        group->lanes =
+            (*group->factory)(*group->lattice, ErrorType::Z)->lanes();
+    std::stable_sort(groups.begin(), groups.end(),
+                     [](const auto &a, const auto &b) {
+                         return a->lattice->distance() >
+                                b->lattice->distance();
+                     });
+    for (auto &group : groups) {
+        std::size_t remaining = 0;
+        for (CellRun *run : group->cells)
+            remaining += run->unclaimed();
+        // A group runs on one thread. A lattice with more shards than
+        // lanes spreads them evenly over ceil(shards / lanes) >= 2
+        // groups, each more than half full; every group refills its
+        // lanes from the shards no group holds yet. Any smaller lattice
+        // would be one group on one thread, slower than its shards
+        // spread over the pool, so it keeps one decoder per shard (as
+        // one-lane decoders always do).
+        const auto lanes = static_cast<std::size_t>(group->lanes);
+        if (lanes <= 1 || remaining <= lanes) {
+            for (CellRun *run : group->cells)
+                schedulePumps(*run);
+            continue;
+        }
+        const std::size_t tasks = (remaining + lanes - 1) / lanes;
+        const std::size_t width = (remaining + tasks - 1) / tasks;
+        for (std::size_t t = 0; t < tasks; ++t)
+            pool_->submit([this, g = group.get(), width] {
+                runLatticeGroup(*g, static_cast<int>(width));
+            });
+    }
+    return groups;
+}
+
+void
+Engine::runLatticeGroup(LatticeGroup &group, int lanes)
+{
+    obs::TraceSpan span(obs::Stage::Shard);
+    auto z_dec = (*group.factory)(*group.lattice, ErrorType::Z);
+    std::unique_ptr<Decoder> x_dec;
+    if (group.producesX)
+        x_dec = (*group.factory)(*group.lattice, ErrorType::X);
+
+    // Claims walk the cells in grid order, each cell's shards in index
+    // order, exactly as pumpCell claims them: a failed claim means the
+    // cell is exhausted (or stopped) for good, so the cursor only
+    // moves forward.
+    std::size_t cell = 0;
+    const LifetimeSource claim = [&]() -> std::optional<LifetimeJob> {
+        if (checkpointEnabled_ && ckpt::interruptRequested())
+            return std::nullopt;
+        for (; cell < group.cells.size(); ++cell) {
+            CellRun &run = *group.cells[cell];
+            std::size_t i = 0;
+            if (!run.claim(i))
+                continue;
+            return LifetimeJob{
+                NoiseModel(run.spec.noise, run.spec.physicalRate),
+                run.shards[i].seed, fixedRule(run.shards[i].trials),
+                [this, &run, i](MonteCarloResult &&result,
+                                const MeshWorkCounters &work) {
+                    // The decoders are shared, so the shard's mesh
+                    // counters come from its own decodes alone.
+                    addShardCounters(result);
+                    work.exportTo(result.metrics);
+                    run.onShardDone(i, std::move(result));
+                    maybeWriteCheckpoint();
+                }};
+        }
+        return std::nullopt;
+    };
+    runLifetimes(*group.lattice, *z_dec, x_dec.get(), lanes,
+                 workerWorkspace(), claim);
 }
 
 MonteCarloResult
@@ -408,8 +560,7 @@ Engine::executeInvocation(std::vector<std::unique_ptr<CellRun>> &runs)
     const std::size_t inv = invocationIndex_++;
     const bool tracked = checkpointEnabled_ || hasRestored_;
     if (!tracked) {
-        for (auto &run : runs)
-            schedulePumps(*run);
+        const auto groups = scheduleRuns(runs);
         pool_->wait();
         return;
     }
@@ -445,8 +596,7 @@ Engine::executeInvocation(std::vector<std::unique_ptr<CellRun>> &runs)
     activeRuns_.reserve(runs.size());
     for (auto &run : runs)
         activeRuns_.push_back(run.get());
-    for (auto &run : runs)
-        schedulePumps(*run);
+    const auto groups = scheduleRuns(runs);
     pool_->wait();
 
     const bool interrupted =
@@ -527,15 +677,6 @@ Engine::runSweep(const SweepConfig &config, const DecoderFactory &factory)
 {
     require(!config.physicalRates.empty(),
             "runSweep: no physical rates given");
-    // Lifetime rounds decode the previous round's residual, so they
-    // always run one lane at a time; say so rather than ignore --batch.
-    static std::atomic<bool> warnedLifetimeBatch{false};
-    if (config.lifetimeMode && options_.batchLanes > 1 &&
-        !warnedLifetimeBatch.exchange(true))
-        warn("batch lanes = " + std::to_string(options_.batchLanes) +
-             " ignored in lifetime mode (rounds depend on the previous "
-             "round's correction); running one lane");
-
     // Lattices are shared read-only across every shard of a distance.
     std::vector<std::unique_ptr<SurfaceLattice>> lattices;
     lattices.reserve(config.distances.size());

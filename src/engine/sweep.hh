@@ -13,14 +13,28 @@
  * early-stopped cell never pays submit/queue churn for shards that
  * would only be skipped.
  *
- * Protocol note: each shard runs its own LifetimeSimulator from a
- * clean lattice state. In lifetime mode a cell is therefore sampled
- * as independent logical-memory *segments* of shardTrials rounds
- * rather than one continuous run — statistically equivalent in steady
- * state, but each segment carries a warmup transient of order d
- * rounds, so very small shardTrials slightly undercounts PL. Raise
- * EngineOptions::shardTrials (or use one shard: shardTrials >=
- * maxTrials) when segment boundaries matter.
+ * Protocol note: each shard is its own lifetime from a clean lattice
+ * state. In lifetime mode a cell is therefore sampled as independent
+ * logical-memory *segments* of shardTrials rounds rather than one
+ * continuous run — statistically equivalent in steady state, but each
+ * segment carries a warmup transient of order d rounds, so very small
+ * shardTrials slightly undercounts PL. Raise EngineOptions::shardTrials
+ * (or use one shard: shardTrials >= maxTrials) when segment boundaries
+ * matter.
+ *
+ * Lattice groups: because the segments are independent, the lifetime
+ * shards of one lattice (across every p cell of an invocation) run as
+ * the lanes of shared lane-packed decoders (runLifetimes). The engine
+ * spreads a lattice's shards evenly over ceil(shards / lanes) group
+ * tasks, largest d first. Each task's lanes claim the lattice's shards
+ * in cell order and shard-index order, refilling a lane as soon as its
+ * shard ends. Every finished shard goes through its cell's ordered
+ * merge and the checkpoint ledger like any other. Its decoder.mesh.*
+ * counters are summed from its own decodes, so results are
+ * byte-identical to one simulator per shard. Decoders with one lane,
+ * and lattices with no more shards than lanes (one group would put
+ * them all on one thread), keep one decoder per shard, run by the
+ * cells' claim chains.
  */
 
 #ifndef NISQPP_ENGINE_SWEEP_HH
@@ -95,11 +109,13 @@ struct EngineOptions
     std::size_t shardTrials = 512;
 
     /**
-     * Rounds grouped per Decoder::decodeBatch call in per-round
-     * simulations (LifetimeSimulator::setBatchLanes): 1 = scalar
-     * decoding, larger values feed the mesh decoder's lane-packed
-     * substrate. Aggregates are byte-identical for every value (and
-     * every thread count) at a fixed seed; only throughput changes.
+     * Rounds grouped per Decoder::decodeBatch call in per-round and
+     * windowed simulations (LifetimeSimulator::setBatchLanes): 1 =
+     * scalar decoding, larger values feed the mesh decoder's
+     * lane-packed substrate. Lifetime cells ignore it: they pack whole
+     * shards (see the file comment). Aggregates are byte-identical
+     * for every value (and every thread count) at a fixed seed; only
+     * throughput changes.
      */
     std::size_t batchLanes = 1;
 };
@@ -211,10 +227,19 @@ class Engine
 
   private:
     struct CellRun; ///< in-flight ordered-merge state of one cell
+    struct LatticeGroup; ///< lifetime cells sharing decoder lanes
 
     void prepareCell(const CellSpec &spec, CellRun &run);
     void schedulePumps(CellRun &run);
     void pumpCell(CellRun &run);
+    /**
+     * Submit every cell: claim chains for per-round and windowed cells
+     * and for one-lane decoders, lattice-group tasks for lane-packed
+     * lifetime cells. The groups must outlive the pool's drain.
+     */
+    std::vector<std::unique_ptr<LatticeGroup>>
+    scheduleRuns(std::vector<std::unique_ptr<CellRun>> &runs);
+    void runLatticeGroup(LatticeGroup &group, int lanes);
     MonteCarloResult collectCell(CellRun &run);
 
     /**

@@ -219,7 +219,10 @@ resetKeeperSubcircuit()
     net.connectFeedback(prev, net.orGate(global, trigger));
     taps.push_back(prev);
     for (int i = 2; i <= 5; ++i) {
-        const NodeId next = net.addStateDff("b" + std::to_string(i));
+        // Appending (not "b" + ...) keeps GCC 12's -Wrestrict quiet.
+        std::string name = "b";
+        name += std::to_string(i);
+        const NodeId next = net.addStateDff(name);
         net.connectFeedback(next, prev);
         prev = next;
         taps.push_back(prev);
@@ -247,7 +250,10 @@ fullDecoderModule()
     net.connectFeedback(prev, net.orGate(global, trigger_in));
     taps.push_back(prev);
     for (int i = 2; i <= 5; ++i) {
-        const NodeId next = net.addStateDff("b" + std::to_string(i));
+        // Appending (not "b" + ...) keeps GCC 12's -Wrestrict quiet.
+        std::string name = "b";
+        name += std::to_string(i);
+        const NodeId next = net.addStateDff(name);
         net.connectFeedback(next, prev);
         prev = next;
         taps.push_back(prev);

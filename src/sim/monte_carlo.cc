@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "decoders/workspace.hh"
@@ -28,7 +29,227 @@ scaleTrials(std::size_t n, double mult)
     return result;
 }
 
+/** The Fig. 10(c) cycle binning a result carries. */
+Histogram
+cycleHistogram(const SurfaceLattice &lattice)
+{
+    return Histogram(
+        static_cast<std::size_t>(128 * (lattice.gridSize() + 2)));
+}
+
+/** Fold one decode's mesh cycle count into @p acc. */
+void
+recordCycles(int cycles, MonteCarloResult &acc)
+{
+    acc.cycles.add(cycles);
+    if (acc.cycleHistogram.numBins() > 1)
+        acc.cycleHistogram.add(static_cast<std::size_t>(cycles));
+}
+
+/** recordCycles() for one decode's telemetry, if it has any. */
+void
+recordMeshStats(const MeshDecodeStats *stats, MonteCarloResult &acc)
+{
+    if (stats)
+        recordCycles(stats->cycles, acc);
+}
+
+void
+requireNoStrayX(const ErrorState &state)
+{
+    require(state.weight(ErrorType::X) == 0,
+            "LifetimeSimulator: X errors present but no X decoder");
+}
+
+/**
+ * The lanes of runLifetimes(): lane l carries one lifetime in flight,
+ * feeding its rounds' Z syndromes to the decode loop one at a time.
+ */
+class LifetimeFeed final : public LaneFeed
+{
+  public:
+    LifetimeFeed(const SurfaceLattice &lattice, Decoder *xDecoder,
+                 int lanes, TrialWorkspace &ws,
+                 const LifetimeSource &claim)
+        : lattice_(lattice), xDecoder_(xDecoder), ws_(ws), claim_(claim)
+    {
+        lanes_.reserve(static_cast<std::size_t>(lanes));
+        for (int l = 0; l < lanes; ++l)
+            lanes_.emplace_back(lattice);
+    }
+
+    /** Sample and extract the lane's next round (claiming if idle). */
+    const Syndrome *
+    next(int l) override
+    {
+        Lane &lane = lanes_[static_cast<std::size_t>(l)];
+        if (!lane.job && !start(lane))
+            return nullptr;
+        {
+            obs::TraceSpan span(obs::Stage::Sample);
+            lane.job->model.sample(lane.rng, lane.state);
+        }
+        obs::TraceSpan span(obs::Stage::Extract);
+        extractSyndromeInto(lane.state, ErrorType::Z, lane.synZ);
+        return &lane.synZ;
+    }
+
+    /**
+     * Commit the round: apply the Z correction, decode and apply the
+     * X family, then classify in the order of a scalar trial (Z
+     * telemetry and parity, then X's).
+     */
+    void
+    done(int l, const Correction &fix,
+         const MeshDecodeStats *stats) override
+    {
+        Lane &lane = lanes_[static_cast<std::size_t>(l)];
+        fix.applyTo(lane.state, ErrorType::Z);
+        const MeshDecodeStats *xStats = nullptr;
+        if (xDecoder_) {
+            {
+                obs::TraceSpan span(obs::Stage::Extract);
+                extractSyndromeInto(lane.state, ErrorType::X,
+                                    lane.synX);
+            }
+            {
+                obs::TraceSpan span(obs::Stage::Decode);
+                xDecoder_->decode(lane.synX, ws_);
+            }
+            ws_.correction.applyTo(lane.state, ErrorType::X);
+            xStats = xDecoder_->meshStats(0);
+        }
+
+        obs::TraceSpan span(obs::Stage::Classify);
+        record(lane, stats);
+        bool failed = flipped(lane.state, ErrorType::Z, lane.zParity);
+        if (xDecoder_) {
+            record(lane, xStats);
+            failed |= flipped(lane.state, ErrorType::X, lane.xParity);
+        } else {
+            requireNoStrayX(lane.state);
+        }
+        MonteCarloResult &acc = lane.acc;
+        ++acc.trials;
+        if (failed)
+            ++acc.failures;
+        const StopRule &rule = lane.job->rule;
+        if (acc.trials >= rule.maxTrials ||
+            (acc.trials >= rule.minTrials &&
+             acc.failures >= rule.targetFailures))
+            finish(lane);
+    }
+
+  private:
+    struct Lane
+    {
+        explicit Lane(const SurfaceLattice &lattice)
+            : state(lattice), synZ(lattice, ErrorType::Z),
+              synX(lattice, ErrorType::X)
+        {}
+
+        std::optional<LifetimeJob> job; ///< in flight; empty = idle
+        Rng rng;
+        ErrorState state;
+        Syndrome synZ, synX;
+        bool zParity = false; ///< crossing parity trackers
+        bool xParity = false;
+        MonteCarloResult acc;
+        std::vector<int> cycles; ///< mesh cycles not yet in acc
+        MeshWorkCounters work;
+    };
+
+    static constexpr std::size_t kFoldEvery = 1024;
+
+    /** Claim the next lifetime into idle @p lane; false when none. */
+    bool
+    start(Lane &lane)
+    {
+        while (std::optional<LifetimeJob> job = claim_()) {
+            require(job->model.measurementFlipRate() == 0.0,
+                    "LifetimeSimulator: measurement noise (q > 0) "
+                    "requires a decode window (setMeasurementWindow)");
+            lane.rng = Rng(job->seed);
+            lane.state.clear();
+            lane.zParity = lane.xParity = false;
+            lane.acc = MonteCarloResult{};
+            lane.work = MeshWorkCounters{};
+            lane.job = std::move(job);
+            if (lane.job->rule.maxTrials > 0)
+                return true;
+            finish(lane); // a zero-round lifetime
+        }
+        return false;
+    }
+
+    /**
+     * Log a decode's telemetry. Cycle counts are buffered and folded
+     * into the result in order at the end (or every kFoldEvery): a
+     * lane then holds a short buffer, not a full histogram, while its
+     * lifetime is in flight.
+     */
+    void
+    record(Lane &lane, const MeshDecodeStats *stats)
+    {
+        if (!stats)
+            return;
+        lane.work.add(*stats);
+        lane.cycles.push_back(stats->cycles);
+        if (lane.cycles.size() >= kFoldEvery)
+            fold(lane);
+    }
+
+    void
+    fold(Lane &lane)
+    {
+        if (lane.acc.cycleHistogram.numBins() <= 1)
+            lane.acc.cycleHistogram = cycleHistogram(lattice_);
+        for (int c : lane.cycles)
+            recordCycles(c, lane.acc);
+        lane.cycles.clear();
+    }
+
+    /** Whether @p type's crossing parity flipped since last round. */
+    static bool
+    flipped(const ErrorState &state, ErrorType type, bool &tracked)
+    {
+        const bool parity = crossingParity(state, type);
+        const bool flip = parity != tracked;
+        tracked = parity;
+        return flip;
+    }
+
+    void
+    finish(Lane &lane)
+    {
+        LifetimeJob job = std::move(*lane.job);
+        lane.job.reset();
+        fold(lane);
+        lane.acc.finalize();
+        job.finish(std::move(lane.acc), lane.work);
+    }
+
+    const SurfaceLattice &lattice_;
+    Decoder *xDecoder_;
+    TrialWorkspace &ws_;
+    const LifetimeSource &claim_;
+    std::vector<Lane> lanes_;
+};
+
 } // namespace
+
+void
+runLifetimes(const SurfaceLattice &lattice, Decoder &zDecoder,
+             Decoder *xDecoder, int lanes, TrialWorkspace &ws,
+             const LifetimeSource &claim)
+{
+    require(zDecoder.type() == ErrorType::Z,
+            "runLifetimes: zDecoder must decode Z errors");
+    require(!xDecoder || xDecoder->type() == ErrorType::X,
+            "runLifetimes: xDecoder must decode X errors");
+    LifetimeFeed feed(lattice, xDecoder, lanes, ws, claim);
+    zDecoder.decodeFeed(feed, lanes, ws);
+}
 
 StopRule
 StopRule::scaled(double mult) const
@@ -77,7 +298,7 @@ LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      std::uint64_t seed,
                                      TrialWorkspace *workspace)
     : lattice_(lattice), model_(model), zDecoder_(zDecoder),
-      xDecoder_(xDecoder), rng_(seed),
+      xDecoder_(xDecoder), seed_(seed), rng_(seed),
       noisyReadout_(model.measurementFlipRate() > 0.0), ws_(workspace)
 {
     require(zDecoder.type() == ErrorType::Z,
@@ -105,17 +326,6 @@ LifetimeSimulator::setMeasurementWindow(int rounds)
     require(rounds >= 0,
             "LifetimeSimulator: window rounds must be >= 0");
     windowRounds_ = rounds;
-}
-
-void
-LifetimeSimulator::recordMeshStats(const MeshDecodeStats *stats,
-                                   MonteCarloResult &acc) const
-{
-    if (!stats)
-        return;
-    acc.cycles.add(stats->cycles);
-    if (acc.cycleHistogram.numBins() > 1)
-        acc.cycleHistogram.add(static_cast<std::size_t>(stats->cycles));
 }
 
 void
@@ -219,20 +429,13 @@ LifetimeSimulator::decodeFamily(ErrorType type, Decoder &decoder,
 }
 
 /**
- * Whether lane @p l's @p type family failed: a crossing-parity flip
- * in lifetime mode, else a nonzero residual syndrome or logical flip.
+ * Whether lane @p l's @p type family failed: a nonzero residual
+ * syndrome or a logical flip.
  */
 bool
 LifetimeSimulator::familyFailed(std::size_t l, ErrorType type,
                                 MonteCarloResult &acc)
 {
-    if (lifetimeMode_) {
-        bool &tracked = type == ErrorType::Z ? zParity_ : xParity_;
-        const bool parity = crossingParity(states_[l], type);
-        const bool flipped = parity != tracked;
-        tracked = parity;
-        return flipped;
-    }
     const FailureReport report = classifyResidual(states_[l], type);
     if (report.syndromeNonzero)
         ++acc.syndromeResidualFailures;
@@ -251,8 +454,7 @@ LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
             if (windowRounds_ > 0) {
                 fillWindow(l);
             } else {
-                if (!lifetimeMode_)
-                    states_[l].clear();
+                states_[l].clear();
                 model_.sample(rng_, states_[l]);
             }
         }
@@ -279,9 +481,7 @@ LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
                 recordMeshStats(xDecoder_->meshStats(l), acc);
             failed |= familyFailed(l, ErrorType::X, acc);
         } else {
-            require(states_[l].weight(ErrorType::X) == 0,
-                    "LifetimeSimulator: X errors present but no X "
-                    "decoder");
+            requireNoStrayX(states_[l]);
         }
         ++acc.trials;
         if (failed)
@@ -298,10 +498,6 @@ LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
 MonteCarloResult
 LifetimeSimulator::run(const StopRule &rule)
 {
-    MonteCarloResult acc;
-    acc.cycleHistogram =
-        Histogram(static_cast<std::size_t>(128 * (lattice_.gridSize()
-                                                  + 2)));
     // Only windowed trials call flipMeasurements: running a noisy-
     // readout model without a window would silently simulate q = 0
     // while reporting a q > 0 configuration.
@@ -312,13 +508,22 @@ LifetimeSimulator::run(const StopRule &rule)
             "LifetimeSimulator: windowed decoding and lifetime "
             "mode are mutually exclusive (use the streaming "
             "pipeline for persistent windowed runs)");
-    // Lifetime round k + 1 decodes round k's residual, so its rounds
-    // cannot share a group.
-    const std::size_t lanes = lifetimeMode_ ? 1 : batchLanes_;
-    reserveLanes(lanes);
+    MonteCarloResult acc;
+    if (lifetimeMode_) {
+        std::optional<LifetimeJob> job = LifetimeJob{
+            model_, seed_, rule,
+            [&acc](MonteCarloResult &&result, const MeshWorkCounters &) {
+                acc = std::move(result);
+            }};
+        runLifetimes(lattice_, zDecoder_, xDecoder_, 1, *ws_,
+                     [&job] { return std::exchange(job, std::nullopt); });
+        return acc;
+    }
+    acc.cycleHistogram = cycleHistogram(lattice_);
+    reserveLanes(batchLanes_);
     while (acc.trials < rule.maxTrials) {
         const std::size_t group =
-            std::min(lanes, rule.maxTrials - acc.trials);
+            std::min(batchLanes_, rule.maxTrials - acc.trials);
         if (runGroup(group, acc, rule))
             break;
     }

@@ -12,7 +12,9 @@
 #define NISQPP_SIM_MONTE_CARLO_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/knob.hh"
@@ -101,15 +103,53 @@ struct MonteCarloResult
 class TrialWorkspace;
 
 /**
+ * One lifetime-protocol run (an engine shard): its noise model, seed
+ * and stop rule, plus where its result goes.
+ */
+struct LifetimeJob
+{
+    NoiseModel model;
+    std::uint64_t seed = 0;
+    StopRule rule{};
+    /**
+     * Receives the finished run's finalized result and the mesh work
+     * counters of its own decodes (empty for decoders without mesh
+     * telemetry).
+     */
+    std::function<void(MonteCarloResult &&, const MeshWorkCounters &)>
+        finish;
+};
+
+/** Claims the next lifetime for a free lane; nullopt when none is left. */
+using LifetimeSource = std::function<std::optional<LifetimeJob>()>;
+
+/**
+ * Run the lifetimes @p claim hands out as @p lanes lanes of one
+ * Decoder::decodeFeed loop (1 <= lanes <= zDecoder.lanes()). Every
+ * lane owns its lifetime's RNG, noise model, error state, parity
+ * trackers and result, so each result is exactly what a
+ * LifetimeSimulator of its own would produce. When a lane's Z decode
+ * of round k finishes, the lane applies the correction, decodes the X
+ * family in place (scalar, when the job's model produces X errors),
+ * classifies the round and samples round k + 1 into the freed lane;
+ * when its lifetime ends it claims the next one. Returns once @p claim
+ * is exhausted and every claimed lifetime has finished.
+ */
+void runLifetimes(const SurfaceLattice &lattice, Decoder &zDecoder,
+                  Decoder *xDecoder, int lanes, TrialWorkspace &ws,
+                  const LifetimeSource &claim);
+
+/**
  * Per-round, code-capacity lifetime simulator for one error type.
  * Dephasing noise exercises the Z-error path the paper evaluates; the
  * depolarizing channel runs both families through two decoders.
  *
- * Every protocol runs through one trial loop that steps a group of
- * lanes at a time: sample every lane (the RNG draw order of that many
- * consecutive scalar trials), decode each family as a group, then
- * classify the lanes in trial order. A scalar run is a group of one;
- * a windowed trial is a lane whose unit is one measurement window.
+ * The per-round and windowed protocols run through one trial loop that
+ * steps a group of lanes at a time: sample every lane (the RNG draw
+ * order of that many consecutive scalar trials), decode each family as
+ * a group, then classify the lanes in trial order. A windowed trial is
+ * a lane whose unit is one measurement window. Lifetime mode is one
+ * runLifetimes() lifetime.
  *
  * The hot path is allocation-free: lane scratch is grown to the group
  * size once per run, decoders borrow buffers from a TrialWorkspace
@@ -143,8 +183,10 @@ class LifetimeSimulator
      * Lifetime mode — the paper's protocol — keeps the residual across
      * cycles (imperfectly corrected errors are re-decoded next round)
      * and counts one logical error whenever the crossing parity of the
-     * post-correction state flips. Lifetime rounds always run in
-     * groups of one.
+     * post-correction state flips. Each run() in lifetime mode is one
+     * fresh lifetime from the seed (runLifetimes() with one lane);
+     * the engine packs many shards' lifetimes into the lanes of one
+     * mesh decoder instead.
      */
     void setLifetimeMode(bool lifetime) { lifetimeMode_ = lifetime; }
     bool lifetimeMode() const { return lifetimeMode_; }
@@ -155,8 +197,10 @@ class LifetimeSimulator
      * substrate (software decoders fall back to a scalar loop). Every
      * aggregate — counters, cycle statistics, histograms — is
      * byte-identical to lanes = 1 for the same seed, including when
-     * the stop rule trips mid-group. Ignored in lifetime mode, where
-     * round k + 1's state depends on round k's correction.
+     * the stop rule trips mid-group. No effect in lifetime mode: one
+     * lifetime's round k + 1 depends on round k's correction, so a
+     * lifetime occupies one lane (runLifetimes packs lifetimes, not
+     * rounds).
      */
     void setBatchLanes(std::size_t lanes);
     std::size_t batchLanes() const { return batchLanes_; }
@@ -187,13 +231,12 @@ class LifetimeSimulator
                       std::size_t count);
     bool familyFailed(std::size_t l, ErrorType type,
                       MonteCarloResult &acc);
-    void recordMeshStats(const MeshDecodeStats *stats,
-                         MonteCarloResult &acc) const;
 
     const SurfaceLattice &lattice_;
     const NoiseModel &model_;
     Decoder &zDecoder_;
     Decoder *xDecoder_;
+    std::uint64_t seed_;
     Rng rng_;
     bool lifetimeMode_ = false;
     /** model_.measurementFlipRate() > 0, cached off the hot path. */
@@ -201,9 +244,8 @@ class LifetimeSimulator
     std::size_t batchLanes_ = 1;
     int windowRounds_ = 0; ///< noisy rounds per window; 0 = off
     /**
-     * Lane scratch, grown to the group-size high-water mark. Lane 0's
-     * state persists across rounds in lifetime mode; the windows are
-     * built only for windowed runs. @{
+     * Lane scratch, grown to the group-size high-water mark; the
+     * windows are built only for windowed runs. @{
      */
     std::vector<ErrorState> states_;
     std::vector<Syndrome> synZ_, synX_;
@@ -213,8 +255,6 @@ class LifetimeSimulator
     /** @} */
     TrialWorkspace *ws_;                 ///< borrowed (or owned_)
     std::unique_ptr<TrialWorkspace> owned_;
-    bool zParity_ = false; ///< lifetime-mode crossing parity trackers
-    bool xParity_ = false;
 };
 
 } // namespace nisqpp

@@ -217,12 +217,25 @@ check_cli(bad_batch_negative FALSE ERR
           "--batch: expected an integer"
           --scenario fig01_sqv --batch -4)
 
-# Lifetime rounds decode the previous round's residual, so a lane
-# count there cannot take effect: the run says so on stderr (once per
-# process) and otherwise proceeds as a one-lane run.
-check_cli(lifetime_batch_warns TRUE ERR
-          "batch lanes = 64 ignored in lifetime mode"
-          fig10_final --trials-scale 0.01 --format csv --batch 64)
+# Lifetime sweeps lane-pack whole shards whatever --batch says, so the
+# flag changes nothing there: the same CSV, and no "ignored" warning.
+set(lifetime_args fig10_final --trials-scale 0.01 --format csv)
+execute_process(COMMAND ${NISQPP_RUN} ${lifetime_args} --batch 64
+                RESULT_VARIABLE lt64_rc OUTPUT_VARIABLE lt64_out
+                ERROR_VARIABLE lt64_err)
+execute_process(COMMAND ${NISQPP_RUN} ${lifetime_args} --batch 1
+                RESULT_VARIABLE lt1_rc OUTPUT_VARIABLE lt1_out
+                ERROR_VARIABLE lt1_err)
+if(NOT lt64_rc EQUAL 0 OR NOT lt1_rc EQUAL 0 OR
+   NOT lt64_out STREQUAL lt1_out OR
+   "${lt64_err}${lt1_err}" MATCHES "ignored in lifetime mode")
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "lifetime_batch_identical: --batch 64 (exit "
+                  "${lt64_rc}) must print the --batch 1 (exit ${lt1_rc}) "
+                  "CSV with no 'ignored' warning:\n${lt64_err}${lt1_err}")
+else()
+  message(STATUS "lifetime_batch_identical: ok")
+endif()
 
 # Bad --simd widths are rejected at the flag level (the NISQPP_SIMD
 # env path warns and keeps the CPUID default instead; covered by

@@ -113,7 +113,7 @@ TEST(MeshBatch, LaneCountTracksSpanAndWidth)
                          elementsOfWidth(w) * (64 / span));
             MeshDecoder mesh(lat, ErrorType::Z);
             EXPECT_EQ(mesh.batchWidth(), w) << "d=" << d;
-            EXPECT_EQ(mesh.batchLanes(), expected) << "d=" << d;
+            EXPECT_EQ(mesh.lanes(), expected) << "d=" << d;
             EXPECT_GE(expected, 1) << "d=" << d;
         }
     }

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "ckpt/checkpoint.hh"
+#include "common/simd.hh"
 #include "sim/experiment.hh"
 
 namespace nisqpp {
@@ -121,6 +122,61 @@ TEST(CheckpointResume, InterruptedSweepResumesByteIdentical)
     resumed.checkpointMetricsInto(ckptMetrics);
     EXPECT_EQ(ckptMetrics.value("ckpt.resumed"), 1u);
     EXPECT_GE(ckptMetrics.value("ckpt.writes"), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, InterruptMidLatticeGroupResumesByteIdentical)
+{
+    // Lifetime shards of one lattice run as the lanes of shared mesh
+    // decoders. One thread at the scalar width (5 lanes at d = 5, 24
+    // shards a lattice) makes the cut deterministic: the first
+    // finished shard requests the interrupt, the running group drains
+    // its 5 lanes and claims nothing more, so the ledger's frontier
+    // stops inside a cell the group was working through.
+    CkptStateGuard guard;
+    const simd::Width savedWidth = simd::activeWidth();
+    SweepConfig config = smallSweep();
+    config.physicalRates = {0.03, 0.08, 0.1};
+    config.stopRule = {256, 256, 1u << 30};
+    const auto factory = meshDecoderFactory(MeshConfig::finalDesign());
+
+    EngineOptions base;
+    base.threads = 4;
+    base.shardTrials = 32; // 8 shards a cell
+    const SweepResult golden = Engine(base).runSweep(config, factory);
+
+    const std::string path = ckptPath("midgroup.ckpt");
+    std::remove(path.c_str());
+    ckpt::CheckpointPolicy policy;
+    policy.path = path;
+    policy.intervalShards = 1;
+    ckpt::setWriteObserver(
+        [](std::uint64_t) { ckpt::requestInterrupt(); });
+    simd::setActiveWidth(simd::Width::Scalar);
+    EngineOptions serial = base;
+    serial.threads = 1;
+    Engine interrupted(serial);
+    interrupted.setCheckpointPolicy(policy);
+    EXPECT_THROW(interrupted.runSweep(config, factory),
+                 ckpt::InterruptedError);
+    simd::setActiveWidth(savedWidth);
+    ckpt::setWriteObserver(nullptr);
+    ckpt::clearInterrupt();
+
+    const ckpt::CheckpointLedger ledger = ckpt::loadCheckpoint(path);
+    ASSERT_EQ(ledger.invocations.size(), 1u);
+    EXPECT_FALSE(ledger.invocations[0].complete);
+    bool midCell = false;
+    for (const ckpt::CellLedger &cell : ledger.invocations[0].cells)
+        midCell |= cell.frontier > 0 && cell.frontier < 8;
+    EXPECT_TRUE(midCell);
+
+    EngineOptions other = base;
+    other.threads = 2;
+    Engine resumed(other);
+    resumed.setCheckpointPolicy(policy);
+    resumed.resumeFrom(ledger);
+    expectIdentical(golden, resumed.runSweep(config, factory));
     std::remove(path.c_str());
 }
 

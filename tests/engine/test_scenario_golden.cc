@@ -107,14 +107,16 @@ sanitize(const std::string &csv)
             os << line << '\n';
             continue;
         }
+        // assign(1, '-'), not = "-": GCC 12 -O3 flags the literal
+        // assignment with a false -Wrestrict.
         for (std::size_t c : masked)
             if (c < cells.size())
-                cells[c] = "-";
+                cells[c].assign(1, '-');
         if (!cells.empty())
             for (const std::string &key : kMaskedRowKeys)
                 if (cells[0] == key)
                     for (std::size_t c = 1; c < cells.size(); ++c)
-                        cells[c] = "-";
+                        cells[c].assign(1, '-');
         os << joinCells(cells) << '\n';
     }
     return os.str();

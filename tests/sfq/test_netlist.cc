@@ -51,8 +51,11 @@ TEST(Netlist, OrTreeCounts)
 {
     Netlist net("t");
     std::vector<NodeId> ins;
-    for (int i = 0; i < 7; ++i)
-        ins.push_back(net.addInput("i" + std::to_string(i)));
+    for (int i = 0; i < 7; ++i) {
+        std::string name = "i";
+        name += std::to_string(i);
+        ins.push_back(net.addInput(name));
+    }
     net.markOutput(net.orTree(ins), "o");
     // n-input OR tree uses n-1 two-input gates.
     EXPECT_EQ(net.countKind(CellKind::Or2), 6u);

@@ -82,8 +82,11 @@ TEST(PathBalance, RandomDagsBalance)
     for (int trial = 0; trial < 40; ++trial) {
         Netlist net("rand");
         std::vector<NodeId> pool;
-        for (int i = 0; i < 4; ++i)
-            pool.push_back(net.addInput("i" + std::to_string(i)));
+        for (int i = 0; i < 4; ++i) {
+            std::string name = "i";
+            name += std::to_string(i);
+            pool.push_back(net.addInput(name));
+        }
         for (int g = 0; g < 15; ++g) {
             const NodeId x =
                 pool[rng.uniformInt(pool.size())];

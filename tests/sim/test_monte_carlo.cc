@@ -257,10 +257,11 @@ TEST(MonteCarlo, BatchedEarlyStopMatchesScalar)
     expectSameAggregates(reference, batched.run(rule));
 }
 
-TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
+TEST(MonteCarlo, BatchLanesLeaveALifetimeUnchanged)
 {
-    // Lifetime mode carries state across rounds, so the knob must be
-    // a no-op there rather than a protocol change.
+    // One lifetime carries state across rounds, so it occupies one
+    // lane whatever the knob says (the engine packs lifetimes, not
+    // rounds): the knob must change nothing.
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.1);
     const StopRule rule{200, 200, ~std::size_t{0}};
