@@ -31,10 +31,13 @@
  * shard ends. Every finished shard goes through its cell's ordered
  * merge and the checkpoint ledger like any other. Its decoder.mesh.*
  * counters are summed from its own decodes, so results are
- * byte-identical to one simulator per shard. Decoders with one lane,
- * and lattices with no more shards than lanes (one group would put
- * them all on one thread), keep one decoder per shard, run by the
- * cells' claim chains.
+ * byte-identical to one simulator per shard. A lattice packs only when
+ * it fills at least half a group and its shards plus every larger
+ * lattice's number at least threads x lanes / 2, so that a group task
+ * (one thread, about one packed shard per lane) ends within the
+ * per-shard run time; see scheduleRuns. Other lattices, and decoders
+ * with one lane, keep one decoder per shard, run by the cells' claim
+ * chains.
  */
 
 #ifndef NISQPP_ENGINE_SWEEP_HH
@@ -239,7 +242,8 @@ class Engine
      */
     std::vector<std::unique_ptr<LatticeGroup>>
     scheduleRuns(std::vector<std::unique_ptr<CellRun>> &runs);
-    void runLatticeGroup(LatticeGroup &group, int lanes);
+    /** One group task at @p lanes; the @p first task takes zProbe. */
+    void runLatticeGroup(LatticeGroup &group, int lanes, bool first);
     MonteCarloResult collectCell(CellRun &run);
 
     /**

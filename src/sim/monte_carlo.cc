@@ -186,7 +186,9 @@ class LifetimeFeed final : public LaneFeed
      * Log a decode's telemetry. Cycle counts are buffered and folded
      * into the result in order at the end (or every kFoldEvery): a
      * lane then holds a short buffer, not a full histogram, while its
-     * lifetime is in flight.
+     * lifetime is in flight. Recording straight into per-lane
+     * histograms raised perfbench lifetime_mesh's peak RSS by ~1.1 MB
+     * (~18%, 4 threads, 4-vCPU AVX-512 Xeon).
      */
     void
     record(Lane &lane, const MeshDecodeStats *stats)

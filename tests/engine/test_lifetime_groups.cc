@@ -106,13 +106,19 @@ struct WidthGuard
 
 TEST(LifetimeGroups, DephasingSweepMatchesPinnedFingerprint)
 {
+    // 48 shards a lattice: one thread packs every lattice; four
+    // threads may leave the largest one decoder per shard (d = 7 at
+    // 512-bit words).
     const SweepConfig config = pinnedSweep();
     const auto factory = meshDecoderFactory(MeshConfig::finalDesign());
-    const SweepResult result =
-        Engine(pinnedOptions(4)).runSweep(config, factory);
-    EXPECT_LT(result.cells[0][2].trials, 2048u); // the early stop
-    EXPECT_EQ(result.cells[2][0].trials, 2048u);
-    EXPECT_EQ(fingerprint(result), 0xd3ff7e10c9b2ef5bull);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const SweepResult result =
+            Engine(pinnedOptions(threads)).runSweep(config, factory);
+        EXPECT_LT(result.cells[0][2].trials, 2048u); // the early stop
+        EXPECT_EQ(result.cells[2][0].trials, 2048u);
+        EXPECT_EQ(fingerprint(result), 0xd3ff7e10c9b2ef5bull);
+    }
 }
 
 TEST(LifetimeGroups, DepolarizingSweepMatchesPinnedFingerprint)
