@@ -105,7 +105,8 @@ knobTable()
          .help = "write a chrome://tracing dump of the instrumented stages",
          .set = store<&RunOptions::traceOut>},
         {.flag = "--checkpoint", .kind = file,
-         .help = "persist the sweep's shard ledger periodically",
+         .help = "persist the sweep's shard ledger periodically; "
+                 "sweep scenarios only",
          .set = store<&RunOptions::checkpointPath>},
         {.flag = "--checkpoint-interval", .env = "NISQPP_CKPT_INTERVAL",
          .kind = {Kind::Int, 1,
@@ -115,7 +116,7 @@ knobTable()
                  std::to_string(ckpt::kDefaultCheckpointInterval) + ")",
          .set = store<&RunOptions::checkpointInterval>},
         {.flag = "--resume", .kind = file,
-         .help = "continue a checkpointed run where it stopped",
+         .help = "continue a checkpointed sweep where it stopped",
          .set = store<&RunOptions::resumePath>},
         {.flag = "--escalate-threshold", .kind = rate,
          .scenario = "tiered_decode",

@@ -275,6 +275,14 @@ runScenario(const std::string &name, const RunOptions &options,
     try {
         scenario->run(ctx);
         ctx.finish();
+        // Only sharded sweeps are checkpointed: a flag that cannot
+        // apply must not pass for a persisted run.
+        if (policy.enabled() && !ctx.ranSweep()) {
+            std::cerr << "scenario '" << name
+                      << "' runs no sharded sweep, so --checkpoint / "
+                         "--resume do not apply to it\n";
+            rc = 1;
+        }
     } catch (const ckpt::InterruptedError &err) {
         std::cerr << "\ninterrupted: checkpoint written to '"
                   << err.path() << "'; resume with --resume '"

@@ -135,6 +135,9 @@ class ScenarioContext
     void setCheckpoint(const ckpt::CheckpointPolicy &policy,
                        std::unique_ptr<ckpt::CheckpointLedger> ledger);
 
+    /** True once the engine ran a sharded (checkpointable) sweep. */
+    bool ranSweep() const { return engine_ && engine_->invocations() > 0; }
+
   private:
     RunOptions options_;
     double envTrials_ = 0.0; ///< NISQPP_TRIALS multiplier; 0 = none

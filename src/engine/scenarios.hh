@@ -7,11 +7,43 @@
 #ifndef NISQPP_ENGINE_SCENARIOS_HH
 #define NISQPP_ENGINE_SCENARIOS_HH
 
+#include <string>
+#include <vector>
+
+#include "stream/stream_sim.hh"
+
 namespace nisqpp {
 
 class ScenarioContext;
 
 namespace scenarios {
+
+/** Escalation backend of every tiered streaming job. */
+inline constexpr const char *kExactFamily = "union_find";
+
+/** One streaming cell: its run configuration and the decoder it runs. */
+struct StreamJob
+{
+    /**
+     * A decoderFamilies() name, or "tiered" for the mesh escalating to
+     * kExactFamily below the confidence @p threshold.
+     */
+    std::string decoder;
+    double threshold = 0.0;
+    /** Lattice set by the caller; latency and --batch by the runner. */
+    StreamConfig config;
+};
+
+/**
+ * Run every job through the engine's job pool, each on a decoder and
+ * StreamLatencyModel resolved from its decoder name, and fold each
+ * job's deterministic stream and decoder counters into the scenario
+ * sink in job order. Results land in job order; every job is a
+ * deterministic function of its configuration, so results and metrics
+ * are byte-identical at any thread count and --batch lane count.
+ */
+std::vector<StreamingResult>
+runStreamJobs(ScenarioContext &ctx, const std::vector<StreamJob> &jobs);
 
 /** Analytic reproductions (no Monte Carlo). @{ */
 void fig01Sqv(ScenarioContext &ctx);

@@ -13,31 +13,24 @@
 
 #include "engine/scenarios.hh"
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/scenario.hh"
-#include "sim/experiment.hh"
-#include "stream/stream_sim.hh"
 
 namespace nisqpp {
 namespace scenarios {
 
 namespace {
 
-/** One streaming run: a recovery policy under one fault operating point. */
-struct FaultCell
+/** Table labels of one job: a recovery policy at one fault rate. */
+struct FaultRow
 {
     std::string policy;
-    std::string decoder; ///< family name, or "tiered" for the deadline tier
-    double rate = 0.0;   ///< headline fault rate (0 = fault-free)
-    StreamConfig config;
+    double rate = 0.0; ///< headline fault rate (0 = fault-free)
 };
 
-/** Escalation backend and confidence threshold of the deadline cells. */
-constexpr const char *kExactFamily = "union_find";
+/** Confidence threshold of the deadline policy's tiered decoder. */
 constexpr double kDeadlineThreshold = 0.9;
 /** Default per-round decode budget of the deadline policy (virtual ns). */
 constexpr double kDefaultDeadlineNs = 600.0;
@@ -58,43 +51,6 @@ specAtRate(double r)
     return spec;
 }
 
-std::vector<StreamingResult>
-runFaultCells(ScenarioContext &ctx, const SurfaceLattice &lattice,
-              const std::vector<FaultCell> &cells)
-{
-    std::vector<StreamingResult> results(cells.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
-    // --batch / NISQPP_BATCH engages the batched streaming consumer on
-    // eligible decoders; fault-struck rounds always replay scalar, so
-    // every row is byte-identical at any lane count.
-    const std::size_t batchLanes = ctx.engine().options().batchLanes;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattice, batchLanes, i] {
-            const FaultCell &cell = cells[i];
-            StreamConfig config = cell.config;
-            config.lattice = &lattice;
-            config.batchLanes = batchLanes;
-            std::unique_ptr<Decoder> decoder;
-            if (cell.decoder == "tiered")
-                decoder = tieredDecoderFactory(
-                    MeshConfig::finalDesign(), kExactFamily,
-                    kDeadlineThreshold)(lattice, ErrorType::Z);
-            else
-                decoder =
-                    decoderFamilies()[decoderFamilyIndex(cell.decoder)]
-                        .factory(lattice, ErrorType::Z);
-            results[i] = runStream(config, *decoder);
-        });
-    }
-    ctx.engine().runJobs(std::move(jobs));
-    // Fixed cell order: every job is a deterministic function of its
-    // cell, so the metric fold is thread-count-invariant.
-    for (const StreamingResult &r : results)
-        ctx.metrics().merge(r.metrics);
-    return results;
-}
-
 } // namespace
 
 void
@@ -109,7 +65,6 @@ faultSweep(ScenarioContext &ctx)
              "crosses the threshold, against an unshed MWPM "
              "reference)\n");
 
-    const int distance = 5;
     const std::size_t rounds =
         ctx.scaled({2000, 2000, 1u << 30}).maxTrials;
     const std::uint64_t streamSeed = ctx.seed(0xfa117ULL);
@@ -124,84 +79,67 @@ faultSweep(ScenarioContext &ctx)
     if (pinned)
         rates = {-1.0}; // sentinel: one pinned point
 
-    SurfaceLattice lattice(distance);
+    const SurfaceLattice lattice(5);
 
     StreamConfig base;
     base.physicalRate = 0.05;
     base.syndromeCycleNs = 400.0;
     base.rounds = rounds;
     base.seed = streamSeed;
+    base.lattice = &lattice;
 
-    auto cellFor = [&](const std::string &policy,
-                       const std::string &decoder, double rate,
-                       const faults::FaultSpec &spec,
-                       const faults::RecoveryPolicy &recovery) {
-        FaultCell cell;
-        cell.policy = policy;
-        cell.decoder = decoder;
-        cell.rate = rate;
-        cell.config = base;
-        cell.config.latency =
-            decoder == "tiered"
-                ? StreamLatencyModel::tiered(kExactFamily, distance)
-                : StreamLatencyModel::forFamily(decoder, distance);
-        cell.config.faults = spec;
-        cell.config.recovery = recovery;
-        return cell;
+    std::vector<StreamJob> jobs;
+    std::vector<FaultRow> rows;
+    auto add = [&](const std::string &policy, const std::string &decoder,
+                   double rate, const faults::FaultSpec &spec,
+                   const faults::RecoveryPolicy &recovery) {
+        StreamJob job{decoder, kDeadlineThreshold, base};
+        job.config.faults = spec;
+        job.config.recovery = recovery;
+        jobs.push_back(job);
+        rows.push_back({policy, rate});
     };
 
-    std::vector<FaultCell> cells;
     const faults::RecoveryPolicy none;
     // Fault-free baselines, one per decoder the policies run on.
-    cells.push_back(
-        cellFor("baseline", "union_find", 0.0, specAtRate(0.0), none));
-    cells.push_back(
-        cellFor("baseline", "tiered", 0.0, specAtRate(0.0), none));
-    cells.push_back(
-        cellFor("baseline", "mwpm", 0.0, specAtRate(0.0), none));
+    add("baseline", "union_find", 0.0, specAtRate(0.0), none);
+    add("baseline", "tiered", 0.0, specAtRate(0.0), none);
+    add("baseline", "mwpm", 0.0, specAtRate(0.0), none);
 
     for (double rate : rates) {
         const faults::FaultSpec spec =
             pinned ? *pinned : specAtRate(rate);
         const double shownRate = pinned ? -1.0 : rate;
 
-        cells.push_back(
-            cellFor("unprotected", "union_find", shownRate, spec, none));
+        add("unprotected", "union_find", shownRate, spec, none);
 
         faults::RecoveryPolicy retransmit;
         retransmit.parityRetransmit = true;
         retransmit.maxRetransmits = 3;
-        cells.push_back(cellFor("retransmit", "union_find", shownRate,
-                                spec, retransmit));
+        add("retransmit", "union_find", shownRate, spec, retransmit);
 
         faults::RecoveryPolicy carry;
         carry.carryForward = true;
-        cells.push_back(cellFor("carry_forward", "union_find",
-                                shownRate, spec, carry));
+        add("carry_forward", "union_find", shownRate, spec, carry);
 
         faults::RecoveryPolicy deadline;
         deadline.deadlineNs = deadlineNs;
-        cells.push_back(
-            cellFor("deadline", "tiered", shownRate, spec, deadline));
+        add("deadline", "tiered", shownRate, spec, deadline);
 
         faults::RecoveryPolicy shedDrop;
         shedDrop.shedThreshold = kShedThreshold;
         shedDrop.shedMode = faults::ShedMode::DropOldest;
-        cells.push_back(
-            cellFor("shed_drop", "mwpm", shownRate, spec, shedDrop));
+        add("shed_drop", "mwpm", shownRate, spec, shedDrop);
 
         faults::RecoveryPolicy shedMerge;
         shedMerge.shedThreshold = kShedThreshold;
         shedMerge.shedMode = faults::ShedMode::XorMerge;
-        cells.push_back(
-            cellFor("shed_merge", "mwpm", shownRate, spec, shedMerge));
+        add("shed_merge", "mwpm", shownRate, spec, shedMerge);
 
-        cells.push_back(
-            cellFor("unshed", "mwpm", shownRate, spec, none));
+        add("unshed", "mwpm", shownRate, spec, none);
     }
 
-    const std::vector<StreamingResult> results =
-        runFaultCells(ctx, lattice, cells);
+    const std::vector<StreamingResult> results = runStreamJobs(ctx, jobs);
 
     auto rateLabel = [&](double rate) {
         return rate < 0.0 ? std::string("pinned")
@@ -218,12 +156,12 @@ faultSweep(ScenarioContext &ctx)
     TablePrinter table({"policy", "decoder", "rate", "PL", "failures",
                         "svc p99", "sojourn mean (us)", "max backlog",
                         "drain (us)", "conserved"});
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const FaultCell &cell = cells[i];
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const StreamConfig &config = jobs[i].config;
         const StreamingResult &r = results[i];
         const faults::FaultCounts &fc = r.faults;
-        const bool faultless = !cell.config.faults.any() &&
-                               !cell.config.recovery.active();
+        const bool faultless =
+            !config.faults.any() && !config.recovery.active();
         // rounds == decoded + carried + lost + shed + merged; the
         // fault-free path never fills the ledger, so it conserves by
         // construction (decodedRounds stays zero there).
@@ -234,7 +172,8 @@ faultSweep(ScenarioContext &ctx)
             faultless ||
             (accounted == static_cast<std::uint64_t>(r.rounds) &&
              r.clockMonotone);
-        table.addRow({cell.policy, cell.decoder, rateLabel(cell.rate),
+        table.addRow({rows[i].policy, jobs[i].decoder,
+                      rateLabel(rows[i].rate),
                       TablePrinter::num(r.logicalErrorRate, 3),
                       std::to_string(r.failures),
                       TablePrinter::num(r.servicePercentiles.p99, 4),
@@ -250,11 +189,10 @@ faultSweep(ScenarioContext &ctx)
                          "lost", "corrupt_dec", "ddl_commit",
                          "ddl_clamp", "shed", "merged", "dedup",
                          "decoded"});
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const FaultCell &cell = cells[i];
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
         const faults::FaultCounts &fc = results[i].faults;
-        ledger.addRow({cell.policy + "/" + cell.decoder,
-                       rateLabel(cell.rate), std::to_string(fc.drops),
+        ledger.addRow({rows[i].policy + "/" + jobs[i].decoder,
+                       rateLabel(rows[i].rate), std::to_string(fc.drops),
                        std::to_string(fc.corruptions),
                        std::to_string(fc.duplicates),
                        std::to_string(fc.delays),

@@ -1,18 +1,19 @@
 /**
  * @file
- * Streaming scenario bodies: the backlog/runtime paper claims measured
- * on the live streaming decode pipeline instead of (only) the Section
- * III closed forms. The streaming_backlog family sweeps decoder x
- * distance x cycle time through Engine::runJobs (one deterministic job
- * per cell, so aggregates are byte-identical at any thread count), and
- * fig05_backlog / fig06_runtime derive their operating ratios from
- * streaming measurements, keeping the closed-form model as cross-check.
+ * Streaming scenario bodies and runStreamJobs, the one runner of every
+ * streaming cell: the backlog/runtime paper claims measured on the
+ * live streaming decode pipeline instead of (only) the Section III
+ * closed forms. The streaming_backlog family sweeps decoder x distance
+ * x cycle time, one deterministic Engine::runJobs job per cell, so
+ * aggregates are byte-identical at any thread count; fig05_backlog /
+ * fig06_runtime derive their operating ratios from streaming
+ * measurements, keeping the closed-form model as cross-check.
  */
 
 #include "engine/scenarios.hh"
 
-#include <algorithm>
-#include <memory>
+#include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -21,111 +22,100 @@
 #include "circuits/decompose.hh"
 #include "engine/scenario.hh"
 #include "sim/experiment.hh"
-#include "stream/stream_sim.hh"
 
 namespace nisqpp {
 namespace scenarios {
 
-namespace {
-
-/** Fully specified streaming cell: family index + run configuration. */
-struct StreamCell
-{
-    std::size_t family = 0;
-    int distance = 3;
-    StreamConfig config;
-};
-
-/**
- * Build the cells of a families x distances x cycle-times streaming
- * grid at dephasing p = 5%, drawing per-cell seeds from @p masterSeed
- * in fixed grid order (so the grid is reproducible and thread-count
- * invariant). @p families holds decoderFamilies() indices.
- */
-std::vector<StreamCell>
-makeStreamCells(const std::vector<std::size_t> &families,
-                const std::vector<int> &distances,
-                const std::vector<double> &cycles, std::size_t rounds,
-                std::uint64_t masterSeed)
-{
-    Rng master(masterSeed);
-    std::vector<StreamCell> cells;
-    for (std::size_t fi : families)
-        for (int d : distances)
-            for (double cycleNs : cycles) {
-                StreamCell cell;
-                cell.family = fi;
-                cell.distance = d;
-                cell.config.physicalRate = 0.05;
-                cell.config.syndromeCycleNs = cycleNs;
-                cell.config.rounds = rounds;
-                cell.config.latency = StreamLatencyModel::forFamily(
-                    decoderFamilies()[fi].name, d);
-                Rng child = master.split();
-                cell.config.seed = child.next();
-                cells.push_back(cell);
-            }
-    return cells;
-}
-
-/** Indices of every registered decoder family. */
-std::vector<std::size_t>
-allFamilies()
-{
-    std::vector<std::size_t> indices(decoderFamilies().size());
-    for (std::size_t i = 0; i < indices.size(); ++i)
-        indices[i] = i;
-    return indices;
-}
-
-/**
- * Run every cell through the engine's job pool; results land in cell
- * order regardless of the thread count (each job is deterministic and
- * owns one slot). Lattices are built once per distance and shared
- * read-only across cells.
- */
 std::vector<StreamingResult>
-runStreamCells(ScenarioContext &ctx, const std::vector<StreamCell> &cells)
+runStreamJobs(ScenarioContext &ctx, const std::vector<StreamJob> &jobs)
 {
-    std::vector<std::unique_ptr<SurfaceLattice>> lattices;
-    std::vector<int> distances;
-    for (const StreamCell &cell : cells)
-        if (std::find(distances.begin(), distances.end(),
-                      cell.distance) == distances.end()) {
-            distances.push_back(cell.distance);
-            lattices.push_back(
-                std::make_unique<SurfaceLattice>(cell.distance));
-        }
-
-    std::vector<StreamingResult> results(cells.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
+    std::vector<StreamingResult> results(jobs.size());
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(jobs.size());
     // --batch / NISQPP_BATCH drives the batched streaming consumer the
     // same way it drives the engine's lane-packed trial batching;
     // results are byte-identical at any lane count.
     const std::size_t batchLanes = ctx.engine().options().batchLanes;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattices, &distances,
-                        batchLanes, i] {
-            const StreamCell &cell = cells[i];
-            StreamConfig config = cell.config;
-            config.batchLanes = batchLanes;
-            for (std::size_t di = 0; di < distances.size(); ++di)
-                if (distances[di] == cell.distance)
-                    config.lattice = lattices[di].get();
-            auto decoder = decoderFamilies()[cell.family].factory(
-                *config.lattice, ErrorType::Z);
-            results[i] = runStream(config, *decoder);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        StreamConfig config = jobs[i].config;
+        config.batchLanes = batchLanes;
+        const int d = config.lattice->distance();
+        DecoderFactory factory;
+        if (jobs[i].decoder == "tiered") {
+            config.latency = StreamLatencyModel::tiered(kExactFamily, d);
+            factory = tieredDecoderFactory(MeshConfig::finalDesign(),
+                                           kExactFamily, jobs[i].threshold);
+        } else {
+            config.latency =
+                StreamLatencyModel::forFamily(jobs[i].decoder, d);
+            factory =
+                decoderFamilies()[decoderFamilyIndex(jobs[i].decoder)]
+                    .factory;
+        }
+        tasks.push_back([&results, config, factory, i] {
+            results[i] =
+                runStream(config, *factory(*config.lattice, ErrorType::Z));
         });
     }
-    ctx.engine().runJobs(std::move(jobs));
-    // Fold each cell's deterministic stream.*/decoder.* counters into
-    // the scenario sink in fixed cell order: every job is a
-    // deterministic function of its cell config, so the fold is
-    // thread-count-invariant.
+    ctx.engine().runJobs(std::move(tasks));
+    // Every job is a deterministic function of its configuration, so
+    // folding the metrics in job order is thread-count-invariant.
     for (const StreamingResult &r : results)
         ctx.metrics().merge(r.metrics);
     return results;
+}
+
+namespace {
+
+/** One lattice per distance, shared read-only by the jobs on it. */
+std::vector<SurfaceLattice>
+latticesFor(std::initializer_list<int> distances)
+{
+    std::vector<SurfaceLattice> lattices;
+    lattices.reserve(distances.size());
+    for (int d : distances)
+        lattices.emplace_back(d);
+    return lattices;
+}
+
+/**
+ * Build the jobs of a families x lattices x cycle-times streaming grid
+ * at dephasing p = 5%, drawing per-job seeds from @p masterSeed in
+ * fixed grid order (so the grid is reproducible and thread-count
+ * invariant).
+ */
+std::vector<StreamJob>
+makeStreamJobs(const std::vector<std::string> &families,
+               const std::vector<SurfaceLattice> &lattices,
+               const std::vector<double> &cycles, std::size_t rounds,
+               std::uint64_t masterSeed)
+{
+    Rng master(masterSeed);
+    std::vector<StreamJob> jobs;
+    for (const std::string &family : families)
+        for (const SurfaceLattice &lattice : lattices)
+            for (double cycleNs : cycles) {
+                StreamJob job;
+                job.decoder = family;
+                job.config.lattice = &lattice;
+                job.config.physicalRate = 0.05;
+                job.config.syndromeCycleNs = cycleNs;
+                job.config.rounds = rounds;
+                Rng child = master.split();
+                job.config.seed = child.next();
+                jobs.push_back(job);
+            }
+    return jobs;
+}
+
+/** Names of every registered decoder family. */
+std::vector<std::string>
+allFamilies()
+{
+    std::vector<std::string> names;
+    for (const DecoderFamily &family : decoderFamilies())
+        names.push_back(family.name);
+    return names;
 }
 
 std::string
@@ -150,11 +140,11 @@ streamingBacklog(ScenarioContext &ctx)
 
     const std::size_t rounds =
         ctx.scaled({4000, 4000, 1u << 30}).maxTrials;
-    const std::vector<StreamCell> cells =
-        makeStreamCells(allFamilies(), {3, 5, 7, 9}, {400.0, 1000.0},
-                        rounds, ctx.seed(0x57e40ULL));
-    const std::vector<StreamingResult> results =
-        runStreamCells(ctx, cells);
+    const std::vector<SurfaceLattice> lattices = latticesFor({3, 5, 7, 9});
+    const std::vector<StreamJob> jobs =
+        makeStreamJobs(allFamilies(), lattices, {400.0, 1000.0}, rounds,
+                       ctx.seed(0x57e40ULL));
+    const std::vector<StreamingResult> results = runStreamJobs(ctx, jobs);
 
     TablePrinter env({"key", "value"});
     env.addRow({"rounds per cell", std::to_string(rounds)});
@@ -167,13 +157,12 @@ streamingBacklog(ScenarioContext &ctx)
                         "svc mean (ns)", "svc p50", "svc p99",
                         "max depth", "overflow", "final backlog",
                         "growth/round", "model growth", "drain (us)"});
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const StreamCell &cell = cells[i];
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const StreamJob &job = jobs[i];
         const StreamingResult &r = results[i];
         table.addRow(
-            {decoderFamilies()[cell.family].name,
-             std::to_string(cell.distance),
-             TablePrinter::num(cell.config.syndromeCycleNs, 4),
+            {job.decoder, std::to_string(job.config.lattice->distance()),
+             TablePrinter::num(job.config.syndromeCycleNs, 4),
              TablePrinter::num(r.logicalErrorRate, 3),
              TablePrinter::num(r.fEmpirical, 4),
              TablePrinter::num(r.serviceNs.mean(), 4),
@@ -193,11 +182,11 @@ streamingBacklog(ScenarioContext &ctx)
     // software baselines grow without bound (Section III).
     std::vector<std::string> header{"round"};
     std::vector<std::size_t> picks;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (cells[i].distance == 9 &&
-            cells[i].config.syndromeCycleNs == 400.0) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (jobs[i].config.lattice->distance() == 9 &&
+            jobs[i].config.syndromeCycleNs == 400.0) {
             picks.push_back(i);
-            header.push_back(decoderFamilies()[cells[i].family].name);
+            header.push_back(jobs[i].decoder);
         }
     TablePrinter trajectory(header);
     if (!picks.empty()) {
@@ -233,12 +222,10 @@ fig05Backlog(ScenarioContext &ctx)
 
     const std::size_t rounds =
         ctx.scaled({2000, 2000, 1u << 30}).maxTrials;
-    const std::vector<StreamCell> cells = makeStreamCells(
-        {decoderFamilyIndex("union_find"),
-         decoderFamilyIndex("sfq_mesh")},
-        {9}, {400.0}, rounds, ctx.seed(0xf165ULL));
-    const std::vector<StreamingResult> results =
-        runStreamCells(ctx, cells);
+    const std::vector<SurfaceLattice> lattices = latticesFor({9});
+    const std::vector<StreamingResult> results = runStreamJobs(
+        ctx, makeStreamJobs({"union_find", "sfq_mesh"}, lattices, {400.0},
+                            rounds, ctx.seed(0xf165ULL)));
     const StreamingResult &uf = results[0];
     const StreamingResult &mesh = results[1];
 
@@ -322,17 +309,17 @@ fig06Runtime(ScenarioContext &ctx)
     // Measure each decoder family's operating ratio on the pipeline.
     const std::size_t rounds =
         ctx.scaled({1000, 1000, 1u << 30}).maxTrials;
-    const std::vector<StreamCell> cells = makeStreamCells(
-        allFamilies(), {9}, {400.0}, rounds, ctx.seed(0xf166ULL));
-    const std::vector<StreamingResult> results =
-        runStreamCells(ctx, cells);
+    const std::vector<SurfaceLattice> lattices = latticesFor({9});
+    const std::vector<StreamJob> jobs = makeStreamJobs(
+        allFamilies(), lattices, {400.0}, rounds, ctx.seed(0xf166ULL));
+    const std::vector<StreamingResult> results = runStreamJobs(ctx, jobs);
 
     TablePrinter measured({"decoder", "svc mean (ns)", "measured f",
                            "max backlog (rounds)"});
     std::vector<double> measuredRatios;
-    for (std::size_t fi = 0; fi < cells.size(); ++fi) {
-        const StreamingResult &r = results[fi];
-        measured.addRow({decoderFamilies()[cells[fi].family].name,
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const StreamingResult &r = results[i];
+        measured.addRow({jobs[i].decoder,
                          TablePrinter::num(r.serviceNs.mean(), 4),
                          TablePrinter::num(r.fEmpirical, 4),
                          std::to_string(r.maxBacklogRounds)});
@@ -343,8 +330,8 @@ fig06Runtime(ScenarioContext &ctx)
 
     // Running time of every benchmark at the *measured* ratios.
     std::vector<std::string> header{"benchmark (T count)"};
-    for (std::size_t fi = 0; fi < cells.size(); ++fi)
-        header.push_back(decoderFamilies()[cells[fi].family].name);
+    for (const StreamJob &job : jobs)
+        header.push_back(job.decoder);
     TablePrinter measuredRuntime(header);
     for (const QCircuit &qc : tableOneBenchmarks()) {
         std::vector<std::string> row{

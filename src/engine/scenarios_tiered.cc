@@ -14,70 +14,30 @@
 #include "engine/scenarios.hh"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "engine/scenario.hh"
-#include "sim/experiment.hh"
-#include "stream/stream_sim.hh"
 
 namespace nisqpp {
 namespace scenarios {
 
 namespace {
 
-/** One streaming run of the frontier: a policy plus its latency model. */
-struct TieredCell
-{
-    std::string label;
-    /** >= 0: tiered decoder at this confidence threshold. */
-    double threshold = -1.0;
-    /** Baseline decoder family when threshold < 0. */
-    std::string family = "sfq_mesh";
-    StreamConfig config;
-};
-
-/** Escalation backend of every tiered cell in this scenario. */
-constexpr const char *kExactFamily = "union_find";
-
 /**
- * Run every cell through the engine's job pool (results land in cell
- * order at any thread count) and fold each cell's deterministic
- * stream/decoder counters into the scenario sink in fixed cell order.
+ * The jobs of one table, all on @p config (one noise stream): the pure
+ * mesh, the tiered decoder at each threshold, the exact baseline.
  */
-std::vector<StreamingResult>
-runTieredCells(ScenarioContext &ctx, const SurfaceLattice &lattice,
-               const std::vector<TieredCell> &cells)
+std::vector<StreamJob>
+frontierJobs(const StreamConfig &config,
+             const std::vector<double> &thresholds)
 {
-    std::vector<StreamingResult> results(cells.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
-    const std::size_t batchLanes = ctx.engine().options().batchLanes;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattice, batchLanes, i] {
-            const TieredCell &cell = cells[i];
-            StreamConfig config = cell.config;
-            config.lattice = &lattice;
-            config.batchLanes = batchLanes;
-            std::unique_ptr<Decoder> decoder;
-            if (cell.threshold >= 0.0)
-                decoder = tieredDecoderFactory(
-                    MeshConfig::finalDesign(), kExactFamily,
-                    cell.threshold)(lattice, ErrorType::Z);
-            else
-                decoder =
-                    decoderFamilies()[decoderFamilyIndex(cell.family)]
-                        .factory(lattice, ErrorType::Z);
-            results[i] = runStream(config, *decoder);
-        });
-    }
-    ctx.engine().runJobs(std::move(jobs));
-    for (const StreamingResult &r : results)
-        ctx.metrics().merge(r.metrics);
-    return results;
+    std::vector<StreamJob> jobs{{"sfq_mesh", 0.0, config}};
+    for (double threshold : thresholds)
+        jobs.push_back({"tiered", threshold, config});
+    jobs.push_back({kExactFamily, 0.0, config});
+    return jobs;
 }
 
 /** The threshold grid: --escalate-threshold pins a single point. */
@@ -97,14 +57,14 @@ decodeCount(const StreamingResult &r)
 }
 
 void
-addResultRow(TablePrinter &table, const TieredCell &cell,
-             const StreamingResult &r)
+addResultRow(TablePrinter &table, const std::string &label,
+             const StreamJob &job, const StreamingResult &r)
 {
     const double decodes = static_cast<double>(decodeCount(r));
     table.addRow(
-        {cell.label,
-         cell.threshold >= 0.0 ? TablePrinter::num(cell.threshold, 3)
-                               : std::string("-"),
+        {label,
+         job.decoder == "tiered" ? TablePrinter::num(job.threshold, 3)
+                                 : std::string("-"),
          TablePrinter::num(r.logicalErrorRate, 3),
          std::to_string(r.escalations),
          TablePrinter::num(static_cast<double>(r.escalations) / decodes,
@@ -153,41 +113,14 @@ tieredDecode(ScenarioContext &ctx)
     const std::uint64_t windowedSeed = master.split().next();
     const SurfaceLattice lattice(d);
 
-    std::vector<TieredCell> cells;
-    auto baseConfig = [&](const std::string &latencyFamily) {
-        StreamConfig config;
-        config.physicalRate = 0.05;
-        config.syndromeCycleNs = 400.0;
-        config.rounds = rounds;
-        config.seed = frontierSeed;
-        config.latency = latencyFamily == "tiered"
-                             ? StreamLatencyModel::tiered(kExactFamily, d)
-                             : StreamLatencyModel::forFamily(
-                                   latencyFamily, d);
-        return config;
-    };
-    {
-        TieredCell mesh;
-        mesh.label = "sfq_mesh";
-        mesh.config = baseConfig("sfq_mesh");
-        cells.push_back(mesh);
-    }
-    for (double threshold : thresholds) {
-        TieredCell cell;
-        cell.label = "tiered";
-        cell.threshold = threshold;
-        cell.config = baseConfig("tiered");
-        cells.push_back(cell);
-    }
-    {
-        TieredCell uf;
-        uf.label = kExactFamily;
-        uf.family = kExactFamily;
-        uf.config = baseConfig(kExactFamily);
-        cells.push_back(uf);
-    }
-    const std::vector<StreamingResult> results =
-        runTieredCells(ctx, lattice, cells);
+    StreamConfig config;
+    config.lattice = &lattice;
+    config.physicalRate = 0.05;
+    config.syndromeCycleNs = 400.0;
+    config.rounds = rounds;
+    config.seed = frontierSeed;
+    const std::vector<StreamJob> jobs = frontierJobs(config, thresholds);
+    const std::vector<StreamingResult> results = runStreamJobs(ctx, jobs);
 
     TablePrinter env({"key", "value"});
     env.addRow({"distance", std::to_string(d)});
@@ -198,8 +131,8 @@ tieredDecode(ScenarioContext &ctx)
     ctx.table("tiered_env", env);
 
     TablePrinter frontier(kColumns);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        addResultRow(frontier, cells[i], results[i]);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        addResultRow(frontier, jobs[i].decoder, jobs[i], results[i]);
     ctx.table("tiered_frontier_d9_400ns", frontier);
 
     // --- Windowed pipeline under faulty measurement: the mesh's
@@ -212,48 +145,27 @@ tieredDecode(ScenarioContext &ctx)
     wrounds = std::max(w, wrounds - wrounds % w);
     const SurfaceLattice wlattice(wd);
 
-    std::vector<TieredCell> wcells;
-    auto windowConfig = [&](const std::string &latencyFamily) {
-        StreamConfig config;
-        config.physicalRate = 0.03;
-        config.measurementFlipRate = 0.03;
-        config.windowRounds = w;
-        config.syndromeCycleNs = 400.0;
-        config.rounds = wrounds;
-        config.seed = windowedSeed;
-        config.latency =
-            latencyFamily == "tiered"
-                ? StreamLatencyModel::tiered(kExactFamily, wd)
-                : StreamLatencyModel::forFamily(latencyFamily, wd);
-        return config;
-    };
-    {
-        TieredCell mesh;
-        mesh.label = "sfq_mesh (majority)";
-        mesh.family = "sfq_mesh";
-        mesh.config = windowConfig("sfq_mesh");
-        wcells.push_back(mesh);
-    }
-    for (double threshold : thresholds) {
-        TieredCell cell;
-        cell.label = "tiered";
-        cell.threshold = threshold;
-        cell.config = windowConfig("tiered");
-        wcells.push_back(cell);
-    }
-    {
-        TieredCell uf;
-        uf.label = std::string(kExactFamily) + " (spacetime)";
-        uf.family = kExactFamily;
-        uf.config = windowConfig(kExactFamily);
-        wcells.push_back(uf);
-    }
+    StreamConfig wconfig;
+    wconfig.lattice = &wlattice;
+    wconfig.physicalRate = 0.03;
+    wconfig.measurementFlipRate = 0.03;
+    wconfig.windowRounds = w;
+    wconfig.syndromeCycleNs = 400.0;
+    wconfig.rounds = wrounds;
+    wconfig.seed = windowedSeed;
+    const std::vector<StreamJob> wjobs = frontierJobs(wconfig, thresholds);
     const std::vector<StreamingResult> wresults =
-        runTieredCells(ctx, wlattice, wcells);
+        runStreamJobs(ctx, wjobs);
 
     TablePrinter windowed(kColumns);
-    for (std::size_t i = 0; i < wcells.size(); ++i)
-        addResultRow(windowed, wcells[i], wresults[i]);
+    for (std::size_t i = 0; i < wjobs.size(); ++i) {
+        const std::string &name = wjobs[i].decoder;
+        const std::string label =
+            name == "sfq_mesh"     ? name + " (majority)"
+            : name == kExactFamily ? name + " (spacetime)"
+                                   : name;
+        addResultRow(windowed, label, wjobs[i], wresults[i]);
+    }
     ctx.table("tiered_windowed_d5_q3", windowed);
 
     ctx.note("\nreading the frontier: threshold 0 is pure mesh, 1.0 "

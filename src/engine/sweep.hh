@@ -169,10 +169,11 @@ class Engine
 
     /**
      * Run independent @p jobs across the pool and wait for all of
-     * them. Used for grids whose cells are inherently sequential
-     * inside (the streaming backlog trajectories): each job must be
-     * deterministic and write only its own result slot, which makes
-     * the aggregate independent of the thread count by construction.
+     * them, for cells that are inherently sequential inside; its one
+     * src/ caller is scenarios::runStreamJobs (one streaming run per
+     * job). Each job must be deterministic and write only its own
+     * result slot, which makes the aggregate independent of the
+     * thread count by construction. Jobs are not checkpointed.
      */
     void runJobs(std::vector<std::function<void()>> jobs);
 
@@ -227,6 +228,9 @@ class Engine
      * ckpt.last_write_age_ms. No-op when checkpointing is off.
      */
     void checkpointMetricsInto(obs::MetricSet &out) const;
+
+    /** runSweep/runCell calls so far: one ledger invocation each. */
+    std::size_t invocations() const { return invocationIndex_; }
 
   private:
     struct CellRun; ///< in-flight ordered-merge state of one cell

@@ -32,7 +32,10 @@ struct Delivery
     double arriveNs = 0.0;
 };
 
-/** percentileFromHistogram's rule on ascending @p sorted, unbinned. */
+/**
+ * Exact percentile of ascending @p sorted: the smallest value v with
+ * P(X <= v) >= q (0 for an empty sample).
+ */
 double
 percentileOfSorted(const std::vector<double> &sorted, double q)
 {

@@ -92,23 +92,26 @@ else()
   message(STATUS "decimal_seed: ok")
 endif()
 
-# --batch reaches the tiered_decode stream cells, whose results are
+# --batch reaches every scenario's streaming jobs, whose results are
 # byte-identical at any decode group size.
-set(tiered_args tiered_decode --trials-scale 0.05 --format csv)
-execute_process(COMMAND ${NISQPP_RUN} ${tiered_args} --batch 64
-                RESULT_VARIABLE batch64_rc OUTPUT_VARIABLE batch64_out
-                ERROR_QUIET)
-execute_process(COMMAND ${NISQPP_RUN} ${tiered_args} --batch 1
-                RESULT_VARIABLE batch1_rc OUTPUT_VARIABLE batch1_out
-                ERROR_QUIET)
-if(NOT batch64_rc EQUAL 0 OR NOT batch1_rc EQUAL 0 OR
-   NOT batch64_out STREQUAL batch1_out)
-  math(EXPR failures "${failures} + 1")
-  message(WARNING "tiered_batch: --batch 64 (exit ${batch64_rc}) must "
-                  "print the --batch 1 (exit ${batch1_rc}) CSV")
-else()
-  message(STATUS "tiered_batch: ok")
-endif()
+foreach(scenario fig05_backlog fig06_runtime streaming_backlog
+        tiered_decode fault_sweep)
+  set(batch_args ${scenario} --trials-scale 0.05 --format csv)
+  execute_process(COMMAND ${NISQPP_RUN} ${batch_args} --batch 64
+                  RESULT_VARIABLE batch64_rc OUTPUT_VARIABLE batch64_out
+                  ERROR_QUIET)
+  execute_process(COMMAND ${NISQPP_RUN} ${batch_args} --batch 1
+                  RESULT_VARIABLE batch1_rc OUTPUT_VARIABLE batch1_out
+                  ERROR_QUIET)
+  if(NOT batch64_rc EQUAL 0 OR NOT batch1_rc EQUAL 0 OR
+     NOT batch64_out STREQUAL batch1_out)
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "${scenario}_batch: --batch 64 (exit ${batch64_rc}) "
+                    "must print the --batch 1 (exit ${batch1_rc}) CSV")
+  else()
+    message(STATUS "${scenario}_batch: ok")
+  endif()
+endforeach()
 
 check_cli(missing_scenario FALSE ERR
           "usage: nisqpp_run"
@@ -369,6 +372,31 @@ else()
   message(STATUS "checkpoint_roundtrip: ok")
 endif()
 file(REMOVE ${cli_ckpt})
+
+# --checkpoint / --resume apply only to scenarios that run a sharded
+# sweep: elsewhere they must fail by name and persist nothing. The
+# resume file is a valid empty ledger (zero invocations) under the
+# scenario's own scope; its check is the FNV-64 of the header lines.
+foreach(no_sweep "fig01_sqv;46d07f578dc8e961"
+                 "fig05_backlog;d86e9507faab55de")
+  list(GET no_sweep 0 scenario)
+  list(GET no_sweep 1 header_check)
+  set(no_sweep_ckpt ${CMAKE_CURRENT_BINARY_DIR}/cli_${scenario}.ckpt)
+  file(REMOVE ${no_sweep_ckpt})
+  check_cli(${scenario}_checkpoint FALSE ERR
+            "scenario '${scenario}' runs no sharded sweep"
+            ${scenario} --trials-scale 0.05 --checkpoint ${no_sweep_ckpt})
+  if(EXISTS ${no_sweep_ckpt})
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "${scenario}_checkpoint: wrote ${no_sweep_ckpt}")
+  endif()
+  file(WRITE ${no_sweep_ckpt} "nisqpp-ckpt 1\nscope ${scenario}\n"
+       "invocations 0\ncheck ${header_check}\nend 0\n")
+  check_cli(${scenario}_resume FALSE ERR
+            "scenario '${scenario}' runs no sharded sweep"
+            ${scenario} --trials-scale 0.05 --resume ${no_sweep_ckpt})
+  file(REMOVE ${no_sweep_ckpt})
+endforeach()
 
 # Happy paths stay intact. --list must print one-line descriptions
 # sourced from the registry (name  -  description), not bare names.

@@ -119,15 +119,21 @@ TEST_F(MetricsEnv, EngineCountersAreThreadCountInvariant)
 
 TEST_F(MetricsEnv, StreamCountersAreThreadCountInvariant)
 {
-    // fig06_runtime folds per-cell streaming metrics (stream.* plus
-    // the per-cell decoders' exports) through runJobs.
-    const std::string t1 = deterministicSection(reportFor(
-        "fig06_runtime", 1));
-    const std::string t3 = deterministicSection(reportFor(
-        "fig06_runtime", 3));
-    EXPECT_EQ(t1, t3);
-    EXPECT_NE(t1.find("stream.rounds"), std::string::npos);
-    EXPECT_NE(t1.find("decoder.uf.decodes"), std::string::npos);
+    // Every scenario that runs streaming cells through runStreamJobs
+    // folds per-job stream.* counters (plus the per-job decoders'
+    // exports) in job order, independent of the thread count.
+    for (const char *scenario :
+         {"fig05_backlog", "fig06_runtime", "streaming_backlog",
+          "tiered_decode", "fault_sweep"}) {
+        SCOPED_TRACE(scenario);
+        const std::string t1 =
+            deterministicSection(reportFor(scenario, 1));
+        const std::string t3 =
+            deterministicSection(reportFor(scenario, 3));
+        EXPECT_EQ(t1, t3);
+        EXPECT_NE(t1.find("stream.rounds"), std::string::npos);
+        EXPECT_NE(t1.find("decoder.uf.decodes"), std::string::npos);
+    }
 }
 
 TEST_F(MetricsEnv, SingleThreadReportsZeroSteals)

@@ -1,14 +1,13 @@
 /**
  * @file Unit tests of the streaming pipeline's building blocks: the
- * bounded round queue (FIFO across ring + spill), the percentile
- * telemetry and the deterministic latency models.
+ * bounded round queue (FIFO across ring + spill) and the
+ * deterministic latency models.
  */
 
 #include <gtest/gtest.h>
 
 #include "stream/latency_model.hh"
 #include "stream/stream_queue.hh"
-#include "stream/telemetry.hh"
 
 #include "backlog/distance_model.hh"
 
@@ -114,24 +113,6 @@ TEST(StreamQueue, SpillCompactionSurvivesInterleavedTraffic)
     }
     EXPECT_EQ(expect, next);
     EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(StreamTelemetry, PercentilesFromExactBins)
-{
-    Histogram hist(100);
-    // 100 observations of value i for i in [0, 100).
-    for (std::size_t i = 0; i < 100; ++i)
-        hist.add(i);
-    EXPECT_DOUBLE_EQ(percentileFromHistogram(hist, 0.0), 0.0);
-    EXPECT_DOUBLE_EQ(percentileFromHistogram(hist, 0.50), 49.0);
-    EXPECT_DOUBLE_EQ(percentileFromHistogram(hist, 0.90), 89.0);
-    EXPECT_DOUBLE_EQ(percentileFromHistogram(hist, 1.0), 99.0);
-}
-
-TEST(StreamTelemetry, EmptyHistogramGivesZero)
-{
-    Histogram hist(16);
-    EXPECT_DOUBLE_EQ(percentileFromHistogram(hist, 0.5), 0.0);
 }
 
 TEST(StreamLatency, ConstantAndPerHotTerms)
